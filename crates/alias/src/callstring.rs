@@ -31,7 +31,8 @@ use crate::fingerprint::GraphIndex;
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, StableCtx, Vocab};
+use crate::solver::SolverKind;
+use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, StableCtx};
 use std::collections::VecDeque;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
@@ -795,7 +796,7 @@ pub(crate) fn analyze_callstring_resume(
     config: &CallStringConfig,
 ) -> Option<Result<(CallStringResult, ResumeStats), crate::cs::StepLimitExceeded>> {
     use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != Vocab::K1 {
+    if prev.vocab != SolverKind::CallString1 {
         return None;
     }
     let mut paths = paths;

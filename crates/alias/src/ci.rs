@@ -1512,14 +1512,14 @@ mod tests {
     /// memoize, fingerprint B against A, seed a resume, and require the
     /// result to be *numerically* identical to a fresh solve of B.
     fn check_resume(src_a: &str, src_b: &str, want_dirty: &[&str]) {
-        use crate::fingerprint::{extract_ci_summaries, plan_ci_resume, GraphIndex};
+        use crate::fingerprint::{plan_ci_resume, GraphIndex};
         let cfg = CiConfig::default();
         let pa = cfront::compile(src_a).expect("A compiles");
         let ga = lower(&pa, &BuildOptions::default()).expect("A lowers");
         let ra = analyze_ci(&ga, &cfg);
         let ia = GraphIndex::build(&ga);
         assert_eq!(ia.unsafe_reason, None);
-        let prev = extract_ci_summaries(&ga, &ia, &ra).expect("summaries");
+        let prev = crate::solver::summarize_serial(&ga, &ia, &ra, None).expect("summaries");
 
         let pb = cfront::compile(src_b).expect("B compiles");
         let gb = lower(&pb, &BuildOptions::default()).expect("B lowers");

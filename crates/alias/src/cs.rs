@@ -21,8 +21,9 @@ use crate::ci::CiResult;
 use crate::fingerprint::GraphIndex;
 use crate::fxhash::{HashMap, HashSet};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
+use crate::solver::SolverKind;
 use crate::summary::{
-    FuncFacts, FunctionSummary, MemOpPruning, ResumeStats, SolverSummaries, StableAssum, Vocab,
+    FuncFacts, FunctionSummary, MemOpPruning, ResumeStats, SolverSummaries, StableAssum,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -1234,7 +1235,7 @@ pub(crate) fn analyze_cs_resume(
     config: &CsConfig,
 ) -> Option<Result<(CsResult, ResumeStats), StepLimitExceeded>> {
     use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != Vocab::Cs || config.heap_naming != crate::ci::HeapNaming::Site {
+    if prev.vocab != SolverKind::Cs || config.heap_naming != crate::ci::HeapNaming::Site {
         return None;
     }
     let mut paths = ci.paths.clone();

@@ -37,9 +37,6 @@
 use crate::ci::{analyze_ci, deliver_committed, CiConfig, CiResult, Solver, SolverParts};
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::Propagation;
-use crate::solver::{Solution, SolutionBox, Solver as SolverTrait};
-use crate::AnalysisError;
-use std::cell::RefCell;
 use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, VFuncId};
 
 /// Budgets and solver knobs for the demand-driven solver.
@@ -90,7 +87,7 @@ pub struct DemandStats {
 /// The growing partial solution behind demand queries. See the module
 /// docs for the algorithm; all methods take the graph the state was
 /// built for (passing a different graph is a logic error, as
-/// everywhere else in the [`Solution`] API).
+/// everywhere else in the [`Solution`](crate::solver::Solution) API).
 #[derive(Debug, Clone)]
 pub struct DemandState {
     cfg: DemandConfig,
@@ -177,7 +174,8 @@ impl DemandState {
     }
 
     /// Distinct base-locations the location input of memory op `node`
-    /// may reference, sorted — the [`Solution::loc_referent_bases`]
+    /// may reference, sorted — the
+    /// [`Solution::loc_referent_bases`](crate::solver::Solution::loc_referent_bases)
     /// contract.
     pub fn loc_referent_bases(&mut self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
         let out = graph.input_src(node, 0);
@@ -187,7 +185,9 @@ impl DemandState {
     }
 
     /// Distinct base-locations the value on `out` may reference,
-    /// sorted — the [`Solution::output_referent_bases`] contract.
+    /// sorted — the
+    /// [`Solution::output_referent_bases`](crate::solver::Solution::output_referent_bases)
+    /// contract.
     pub fn output_referent_bases(&mut self, graph: &Graph, out: OutputId) -> Vec<BaseId> {
         let fb = self.ensure_solved(graph, &[out]);
         self.count_query(fb);
@@ -466,96 +466,10 @@ fn install_boundary(g: &Graph, s: &mut Solver, prev: &[bool], now: &[bool]) {
     }
 }
 
-/// The demand-driven solver as a [`SolverTrait`]: "solving" just
-/// builds an empty [`DemandState`]; queries drive the work.
-#[derive(Debug, Clone, Default)]
-pub struct DemandSolver {
-    /// Budgets and CI knobs.
-    pub config: DemandConfig,
-}
-
-impl SolverTrait for DemandSolver {
-    fn name(&self) -> &str {
-        "demand"
-    }
-
-    fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        Ok(Box::new(DemandSolution::new(graph, self.config.clone())))
-    }
-}
-
-/// A [`DemandState`] behind the uniform [`Solution`] view. Queries
-/// extend the solved region, so the interior is mutable; the `RefCell`
-/// keeps the shared `&self` query API of the other solutions (the same
-/// pattern as [`crate::solver::SteensSolution`]).
-pub struct DemandSolution {
-    state: RefCell<DemandState>,
-}
-
-impl DemandSolution {
-    /// An unsolved demand view of `graph`.
-    pub fn new(graph: &Graph, config: DemandConfig) -> DemandSolution {
-        DemandSolution {
-            state: RefCell::new(DemandState::new(graph, config)),
-        }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> DemandStats {
-        self.state.borrow().stats()
-    }
-
-    /// See [`DemandState::loc_referents_rendered`].
-    pub fn loc_referents_rendered(&self, graph: &Graph, node: NodeId) -> Vec<String> {
-        self.state.borrow_mut().loc_referents_rendered(graph, node)
-    }
-
-    /// See [`DemandState::may_alias`].
-    pub fn may_alias(&self, graph: &Graph, a: NodeId, b: NodeId) -> (bool, Vec<BaseId>) {
-        self.state.borrow_mut().may_alias(graph, a, b)
-    }
-
-    /// See [`DemandState::materialize`].
-    pub fn materialize(&self, graph: &Graph) -> CiResult {
-        self.state.borrow_mut().materialize(graph)
-    }
-}
-
-impl Solution for DemandSolution {
-    fn analysis(&self) -> &'static str {
-        "demand"
-    }
-    /// Total pairs, known only once exhaustive (fallback/materialized);
-    /// a partial count would misread as the program's total.
-    fn pairs(&self) -> Option<usize> {
-        self.state
-            .borrow()
-            .fallback
-            .as_ref()
-            .map(CiResult::total_pairs)
-    }
-    fn flow_ins(&self) -> Option<u64> {
-        Some(self.state.borrow().stats.steps)
-    }
-    fn flow_outs(&self) -> Option<u64> {
-        None
-    }
-    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
-        self.state.borrow_mut().loc_referent_bases(graph, node)
-    }
-    fn output_referent_bases(&self, graph: &Graph, out: OutputId) -> Vec<BaseId> {
-        self.state.borrow_mut().output_referent_bases(graph, out)
-    }
-    fn clone_box(&self) -> SolutionBox {
-        Box::new(DemandSolution {
-            state: RefCell::new(self.state.borrow().clone()),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Solution;
     use vdg::build::{lower, BuildOptions};
 
     fn graph_of(src: &str) -> Graph {
@@ -765,24 +679,5 @@ mod tests {
             );
         }
         assert_eq!(st.stats().fallbacks, 0);
-    }
-
-    #[test]
-    fn solution_view_reports_demand() {
-        let g = graph_of(INTERPROC);
-        let sol = DemandSolution::new(&g, DemandConfig::default());
-        assert_eq!(sol.analysis(), "demand");
-        assert_eq!(sol.pairs(), None, "no pair total before materialize");
-        let ci = ci_of(&g);
-        for (node, _) in g.indirect_mem_ops() {
-            assert_eq!(
-                Solution::loc_referent_bases(&sol, &g, node),
-                Solution::loc_referent_bases(&ci, &g, node)
-            );
-        }
-        let cloned = sol.clone_box();
-        let _ = sol.materialize(&g);
-        assert!(sol.pairs().is_some());
-        assert_eq!(cloned.analysis(), "demand");
     }
 }

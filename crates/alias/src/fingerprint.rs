@@ -36,7 +36,8 @@
 use crate::ci::CiResult;
 use crate::fxhash::{HashMap, HashSet};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::summary::{FuncFacts, FunctionSummary, SolverSummaries, Vocab};
+use crate::solver::SolverKind;
+use crate::summary::{FuncFacts, FunctionSummary, SolverSummaries};
 use vdg::graph::{BaseKind, Graph, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
 
 /// FNV-1a, 64-bit — the workspace-standard dependency-free hash.
@@ -536,24 +537,6 @@ pub(crate) fn extract_ci_func(
     })
 }
 
-/// Extracts whole-program CI summaries. `None` when stable naming is
-/// unsafe or any function's facts cannot be expressed stably.
-pub fn extract_ci_summaries(
-    graph: &Graph,
-    index: &GraphIndex,
-    ci: &CiResult,
-) -> Option<SolverSummaries> {
-    if index.unsafe_reason.is_some() {
-        return None;
-    }
-    let mut out = SolverSummaries::new(Vocab::Ci);
-    for f in graph.func_ids() {
-        let s = extract_ci_func(graph, index, ci, f)?;
-        out.funcs.insert(graph.func(f).name.clone(), s);
-    }
-    Some(out)
-}
-
 /// The vocabulary-independent skeleton of a resume plan: which
 /// functions are clean (with their facts translated into next-graph
 /// vocabulary by the caller's closure), which are dirty, the clean
@@ -696,7 +679,7 @@ pub fn plan_ci_resume(
     index: &GraphIndex,
     prev: &SolverSummaries,
 ) -> Option<CiResumePlan> {
-    if prev.vocab != Vocab::Ci {
+    if prev.vocab != SolverKind::Ci {
         return None;
     }
     let mut paths = PathTable::for_graph(next);

@@ -51,12 +51,12 @@ pub mod weihl;
 
 pub use ci::{analyze_ci, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder};
 pub use cs::{analyze_cs, cs_subset_of_ci, CsConfig, CsResult, StepLimitExceeded};
-pub use demand::{DemandConfig, DemandSolution, DemandSolver, DemandState, DemandStats};
+pub use demand::{DemandConfig, DemandState, DemandStats};
 pub use fingerprint::{GraphIndex, StablePair, StablePath};
 pub use pairset::{PairId, PairInterner, PairSet, Propagation};
 pub use path::{AccessOp, Pair, PathId, PathTable};
-pub use solver::{ResumeOutcome, Solution, SolutionBox, Solver, SolverKind, SolverSpec};
-pub use summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, Vocab};
+pub use solver::{ResumeOutcome, Solution, SolutionBox, SolverKind, SolverSpec};
+pub use summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries};
 
 use std::fmt;
 use vdg::graph::Graph;
@@ -74,7 +74,7 @@ pub enum AnalysisError {
     /// solver, on which benchmark or fuzz seed — so engine and fuzz
     /// reports print actionable one-liners instead of a bare cause.
     Context {
-        /// [`solver::Solver::name`] of the failing solver.
+        /// [`SolverKind::name`] of the failing solver.
         solver: String,
         /// The benchmark name or fuzz-seed label being analyzed.
         job: String,

@@ -1,31 +1,30 @@
 //! A uniform driver-facing API over the five analyses.
 //!
-//! Historically each analysis had its own free-function entry point with
-//! its own shape (`analyze_ci`, `analyze_cs`, `analyze_weihl_from`,
-//! `analyze_steensgaard`, `analyze_callstring_from`), which forced every
-//! harness — the CLI `spectrum` command, the figure binaries, the
-//! parallel engine — to hard-code all five call sites. The [`Solver`]
-//! trait unifies them:
+//! The solver set is closed — Weihl, Steensgaard, CI, k=1 call-strings
+//! and assumption-set CS — so one value describes any of them: a
+//! [`SolverSpec`] names the analysis ([`SolverKind`]) plus every knob,
+//! and its [`SolverSpec::solve`] / [`SolverSpec::resume`] match on the
+//! kind exhaustively. What comes back is open only on the read side:
 //!
 //! ```text
 //!                    ┌───────────────┐
-//!  Graph ──────────▶ │  dyn Solver   │ ──▶ SolutionBox (dyn Solution)
-//!  Option<&CiResult> │ ci/cs/weihl/  │       ├─ pairs(), flow counts
-//!       (shared      │ steensgaard/  │       ├─ loc_referent_bases()
-//!        vocabulary) │ k=1 callstring│       └─ as_points_to() / as_ci() / as_cs()
-//!                    └───────────────┘
+//!  Graph ──────────▶ │  SolverSpec   │ ──▶ SolutionBox (dyn Solution)
+//!  Option<&CiResult> │ solve/resume  │       ├─ pairs(), flow counts
+//!       (shared      │ match kind {  │       ├─ loc_referent_bases()
+//!        vocabulary) │  five arms }  │       ├─ as_points_to()
+//!                    └───────────────┘       └─ downcast_ref::<T>() (Any)
 //! ```
 //!
 //! Passing the CI result is optional but meaningful twice over: the CS
 //! solver *requires* CI facts for its §4.2 pruning (it computes its own
 //! when given `None`), and the pair-based baselines seed their
-//! [`PathTable`] from the CI one so that [`Pair`] ids remain comparable
-//! across solutions of the same graph.
+//! [`PathTable`] from the CI one so that [`Pair`](crate::path::Pair)
+//! ids remain comparable across solutions of the same graph.
 //!
-//! The concrete result types are still reachable — [`Solution::as_ci`]
-//! and friends downcast without `Any` machinery — so existing
-//! [`crate::stats::PointsToSolution`] consumers keep working on the
-//! boxed solutions of every pair-based solver.
+//! The concrete result types stay reachable through `Any`:
+//! `sol.downcast_ref::<CiResult>()` borrows, `sol.downcast::<CsResult>()`
+//! takes the box apart. New code should prefer the uniform queries
+//! ([`Solution::referents_at`], [`Solution::covers`]).
 
 use crate::callstring::{analyze_callstring_from, CallStringConfig, CallStringResult};
 use crate::ci::{
@@ -37,9 +36,10 @@ use crate::pairset::Propagation;
 use crate::path::{PathId, PathTable};
 use crate::stats::PointsToSolution;
 use crate::steensgaard::{analyze_steensgaard, SteensResult};
-use crate::summary::{FunctionSummary, ResumeStats, SolverSummaries, Vocab};
+use crate::summary::{FunctionSummary, ResumeStats, SolverSummaries};
 use crate::weihl::{analyze_weihl_with, WeihlResult};
 use crate::AnalysisError;
+use std::any::Any;
 use std::cell::RefCell;
 use vdg::graph::{BaseId, Graph, NodeId, VFuncId};
 
@@ -61,73 +61,11 @@ pub struct ResumeOutcome {
 /// A solved analysis, boxed behind the uniform [`Solution`] view.
 pub type SolutionBox = Box<dyn Solution>;
 
-/// One of the five analyses, behind a uniform entry point.
-pub trait Solver: Send + Sync {
-    /// Stable machine-readable name (`"ci"`, `"cs"`, `"weihl"`,
-    /// `"steensgaard"`, `"k1"`).
-    fn name(&self) -> &str;
-
-    /// Runs the analysis over `graph`.
-    ///
-    /// `ci` is an optional previously computed context-insensitive
-    /// solution *for the same graph*: the CS solver uses it for the
-    /// §4.2 pruning optimizations (and computes its own if absent), and
-    /// the pair-based baselines adopt its path table so pair ids stay
-    /// comparable across solvers. Passing a CI result from a different
-    /// graph is a logic error.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::StepLimit`] if the solver exhausts its step
-    /// budget; the always-terminating solvers never fail.
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError>;
-
-    /// **Summarize capability.** Extracts whole-program
-    /// [`SolverSummaries`] from `sol` (a solution this solver produced
-    /// over `graph`) in the solver's own stable vocabulary. `None` when
-    /// the solution cannot be summarized: unstable naming, a vocabulary
-    /// the solver does not define (the demand solver), or facts rooted
-    /// at synthetic bases.
-    ///
-    /// The default serial implementation drives the solution's
-    /// [`Solution::func_extractor`]; the engine's bottom-up composition
-    /// driver uses the same extractor to summarize independent
-    /// call-graph subtrees in parallel.
-    fn summarize(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        sol: &dyn Solution,
-        ci: Option<&CiResult>,
-    ) -> Option<SolverSummaries> {
-        summarize_serial(graph, index, sol, ci)
-    }
-
-    /// **Summarize capability.** Re-solves `graph` seeded from a
-    /// previous run's summaries: clean functions' facts replay as
-    /// silent seeds, only the dirty cone iterates, and the result is
-    /// fixpoint-identical to a fresh solve (the subset-seeding
-    /// argument, per vocabulary — see `DESIGN.md` §12).
-    ///
-    /// Returns `None` when this solver cannot resume from `prev` (wrong
-    /// vocabulary, configuration without stable naming, rejected plan):
-    /// the caller falls back to a fresh solve. `Some(Err(_))` means the
-    /// resume itself exhausted a step budget — also a fresh-solve
-    /// fallback, but worth distinguishing for diagnostics.
-    fn resume(
-        &self,
-        _graph: &Graph,
-        _index: &GraphIndex,
-        _prev: &SolverSummaries,
-        _ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        None
-    }
-}
-
 /// Serial whole-program summary extraction via
-/// [`Solution::func_extractor`]: the default [`Solver::summarize`] body
-/// and the oracle the parallel composition driver cross-checks against.
+/// [`Solution::func_extractor`]: the oracle the engine's parallel
+/// composition driver cross-checks against. `None` when the solution
+/// cannot be summarized: unstable naming, a missing companion, or facts
+/// rooted at synthetic bases.
 pub fn summarize_serial(
     graph: &Graph,
     index: &GraphIndex,
@@ -137,9 +75,8 @@ pub fn summarize_serial(
     if index.unsafe_reason.is_some() {
         return None;
     }
-    let vocab = sol.vocab()?;
     let extract = sol.func_extractor(graph, index, ci)?;
-    let mut out = SolverSummaries::new(vocab);
+    let mut out = SolverSummaries::new(sol.kind());
     for f in graph.func_ids() {
         out.funcs.insert(graph.func(f).name.clone(), extract(f)?);
     }
@@ -151,10 +88,18 @@ pub fn summarize_serial(
 ///
 /// Everything a generic consumer (metrics, spectrum tables, the
 /// parallel engine) needs, implementable even by the unification-based
-/// solver that has no per-program-point pair sets.
-pub trait Solution: Send {
-    /// The [`Solver::name`] that produced this solution.
-    fn analysis(&self) -> &'static str;
+/// solver that has no per-program-point pair sets. `Any` is a
+/// supertrait, so the concrete result is one `downcast_ref` (an
+/// inherent method of `dyn Solution`) away.
+pub trait Solution: Any + Send {
+    /// The analysis that produced this solution; also the vocabulary
+    /// its summaries are expressed in.
+    fn kind(&self) -> SolverKind;
+
+    /// The producing analysis' [`SolverKind::name`].
+    fn analysis(&self) -> &'static str {
+        self.kind().name()
+    }
 
     /// Total points-to pairs, for solvers with a pair representation.
     /// `None` for Steensgaard, whose solution is an ECR partition.
@@ -242,92 +187,17 @@ pub trait Solution: Send {
         None
     }
 
-    /// Downcast to the concrete CI result.
-    ///
-    /// Legacy escape hatch kept for the paper-table consumers; new code
-    /// should query through [`Solution::referents_at`] and
-    /// [`Solution::covers`] instead of downcasting.
-    fn as_ci(&self) -> Option<&CiResult> {
-        None
-    }
-
-    /// Downcast to the concrete CS result.
-    ///
-    /// Legacy escape hatch kept for the paper-table consumers; new code
-    /// should query through [`Solution::referents_at`] and
-    /// [`Solution::covers`] instead of downcasting.
-    fn as_cs(&self) -> Option<&CsResult> {
-        None
-    }
-
-    /// Downcast to the concrete Weihl result.
-    fn as_weihl(&self) -> Option<&WeihlResult> {
-        None
-    }
-
-    /// Downcast to the concrete k=1 call-string result.
-    fn as_k1(&self) -> Option<&CallStringResult> {
-        None
-    }
-
-    /// Downcast to the Steensgaard union-find solution.
-    fn as_steens(&self) -> Option<&SteensSolution> {
-        None
-    }
-
-    /// Consumes the box into the concrete CI result, for harnesses
-    /// (the engine's prepare stage, the demand solver's materializer)
-    /// that hold the shared-vocabulary CI solution by value. `None` for
-    /// every other analysis.
-    fn into_ci(self: Box<Self>) -> Option<CiResult> {
-        None
-    }
-
-    /// Consumes the box into the concrete CS result, for harnesses that
-    /// need the owned concrete query API. `None` for other analyses.
-    fn into_cs(self: Box<Self>) -> Option<CsResult> {
-        None
-    }
-
-    /// Consumes the box into the concrete Weihl result. `None` for
-    /// other analyses.
-    fn into_weihl(self: Box<Self>) -> Option<WeihlResult> {
-        None
-    }
-
-    /// Consumes the box into the concrete k=1 call-string result.
-    /// `None` for other analyses.
-    fn into_k1(self: Box<Self>) -> Option<CallStringResult> {
-        None
-    }
-
-    /// Consumes the box into the concrete Steensgaard result (the
-    /// union-find query API needs `&mut`, hence by value). `None` for
-    /// other analyses.
-    fn into_steens(self: Box<Self>) -> Option<SteensResult> {
-        None
-    }
-
-    /// The summary vocabulary this solution can be expressed in, `None`
-    /// when it has none (the demand solver's lazy view).
-    fn vocab(&self) -> Option<Vocab> {
-        None
-    }
-
     /// A `Sync` per-function summary extractor over this solution, or
-    /// `None` when the solution cannot be summarized (no vocabulary, or
-    /// a required companion — the CS extractor needs the CI solution it
-    /// was pruned by — is missing). Drives both the serial
+    /// `None` when a required companion is missing (the CS extractor
+    /// needs the CI solution it was pruned by). Drives both the serial
     /// [`summarize_serial`] and the engine's parallel bottom-up
     /// composition.
     fn func_extractor<'a>(
         &'a self,
-        _graph: &'a Graph,
-        _index: &'a GraphIndex,
-        _ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        None
-    }
+        graph: &'a Graph,
+        index: &'a GraphIndex,
+        ci: Option<&'a CiResult>,
+    ) -> Option<FuncExtractor<'a>>;
 
     /// The program-wide store relation in stable vocabulary (Weihl
     /// only; everyone else returns an empty vec). `None` when a store
@@ -340,6 +210,21 @@ pub trait Solution: Send {
     /// this to replay a cached solution without consuming the cache
     /// entry.
     fn clone_box(&self) -> SolutionBox;
+}
+
+impl dyn Solution {
+    /// Borrows the concrete result when this solution is a `T`
+    /// (`CiResult`, `CsResult`, `WeihlResult`, `CallStringResult` or
+    /// [`SteensSolution`]).
+    pub fn downcast_ref<T: Solution>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref()
+    }
+
+    /// Takes the box apart into the concrete result when this solution
+    /// is a `T`; `None` (dropping the box) otherwise.
+    pub fn downcast<T: Solution>(self: Box<Self>) -> Option<T> {
+        (self as Box<dyn Any>).downcast().ok().map(|b| *b)
+    }
 }
 
 /// Canonical rendered dump of a solution, for equivalence checks and
@@ -372,7 +257,7 @@ pub fn solution_dump(sol: &dyn Solution, graph: &Graph) -> String {
         names.dedup();
         let _ = writeln!(out, "op {}: [{}]", node.0, names.join(", "));
     }
-    if let Some(ci) = sol.as_ci() {
+    if let Some(ci) = sol.downcast_ref::<CiResult>() {
         for o in graph.output_ids() {
             let prs = ci.pairs(o);
             if prs.is_empty() {
@@ -421,62 +306,9 @@ fn bases_of(paths: &PathTable, refs: &[PathId]) -> Vec<BaseId> {
     b
 }
 
-/// The context-insensitive analysis (§3) as a [`Solver`].
-#[derive(Debug, Clone, Default)]
-pub struct CiSolver {
-    /// Solver options.
-    pub config: CiConfig,
-}
-
-impl Solver for CiSolver {
-    fn name(&self) -> &str {
-        "ci"
-    }
-
-    fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        Ok(Box::new(analyze_ci(graph, &self.config)))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        _ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        // Call-string heap naming keys allocations by caller, which the
-        // stable vocabulary does not carry; fault injection would make
-        // the seeded and fresh runs observe different graphs.
-        if self.config.heap_naming != HeapNaming::Site || self.config.fault != Fault::None {
-            return None;
-        }
-        let plan = plan_ci_resume(graph, index, prev)?;
-        let stats = ResumeStats {
-            dirty: {
-                let mut d: Vec<String> = plan
-                    .dirty
-                    .iter()
-                    .map(|f| graph.func(*f).name.clone())
-                    .collect();
-                d.sort_unstable();
-                d
-            },
-            clean: graph.func_count() - plan.dirty.len(),
-            cone_outputs: plan.cone_outputs,
-            seeded_outputs: plan.seeded_outputs,
-            total_outputs: graph.output_count(),
-        };
-        let result = analyze_ci_resume(graph, &self.config, plan);
-        Some(Ok(ResumeOutcome {
-            solution: Box::new(result),
-            stats,
-        }))
-    }
-}
-
 impl Solution for CiResult {
-    fn analysis(&self) -> &'static str {
-        "ci"
+    fn kind(&self) -> SolverKind {
+        SolverKind::Ci
     }
     fn pairs(&self) -> Option<usize> {
         Some(self.total_pairs())
@@ -509,15 +341,6 @@ impl Solution for CiResult {
     fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
         Some(self)
     }
-    fn as_ci(&self) -> Option<&CiResult> {
-        Some(self)
-    }
-    fn into_ci(self: Box<Self>) -> Option<CiResult> {
-        Some(*self)
-    }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Ci)
-    }
     fn func_extractor<'a>(
         &'a self,
         graph: &'a Graph,
@@ -533,76 +356,9 @@ impl Solution for CiResult {
     }
 }
 
-/// The assumption-set context-sensitive analysis (§4) as a [`Solver`].
-#[derive(Debug, Clone, Default)]
-pub struct CsSolver {
-    /// Solver options.
-    pub config: CsConfig,
-}
-
-impl Solver for CsSolver {
-    fn name(&self) -> &str {
-        "cs"
-    }
-
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        let run = |ci: &CiResult| -> Result<SolutionBox, AnalysisError> {
-            let cs = analyze_cs(graph, ci, &self.config)?;
-            Ok(Box::new(cs) as SolutionBox)
-        };
-        match ci {
-            Some(ci) => run(ci),
-            // No shared CI: compute one with matching knobs, since
-            // pruning requires heap naming and strong updates to agree.
-            None => run(&analyze_ci(
-                graph,
-                &CiConfig {
-                    strong_updates: self.config.strong_updates,
-                    heap_naming: self.config.heap_naming,
-                    ..CiConfig::default()
-                },
-            )),
-        }
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        // The seeded CS needs the *current* CI companion both for
-        // pruning and for the pruning-drift check; compute one with
-        // matching knobs if the caller has none, exactly as `solve`.
-        let owned;
-        let ci = match ci {
-            Some(ci) => ci,
-            None => {
-                owned = analyze_ci(
-                    graph,
-                    &CiConfig {
-                        strong_updates: self.config.strong_updates,
-                        heap_naming: self.config.heap_naming,
-                        ..CiConfig::default()
-                    },
-                );
-                &owned
-            }
-        };
-        match crate::cs::analyze_cs_resume(graph, index, ci, prev, &self.config)? {
-            Ok((result, stats)) => Some(Ok(ResumeOutcome {
-                solution: Box::new(result),
-                stats,
-            })),
-            Err(e) => Some(Err(e.into())),
-        }
-    }
-}
-
 impl Solution for CsResult {
-    fn analysis(&self) -> &'static str {
-        "cs"
+    fn kind(&self) -> SolverKind {
+        SolverKind::Cs
     }
     fn pairs(&self) -> Option<usize> {
         Some(self.total_pairs())
@@ -632,15 +388,6 @@ impl Solution for CsResult {
     fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
         Some(self)
     }
-    fn as_cs(&self) -> Option<&CsResult> {
-        Some(self)
-    }
-    fn into_cs(self: Box<Self>) -> Option<CsResult> {
-        Some(*self)
-    }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Cs)
-    }
     fn func_extractor<'a>(
         &'a self,
         graph: &'a Graph,
@@ -659,49 +406,9 @@ impl Solution for CsResult {
     }
 }
 
-/// Weihl's program-wide flow-insensitive baseline as a [`Solver`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeihlSolver {
-    /// Worklist discipline (delta by default).
-    pub propagation: Propagation,
-}
-
-impl Solver for WeihlSolver {
-    fn name(&self) -> &str {
-        "weihl"
-    }
-
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        Ok(Box::new(analyze_weihl_with(graph, paths, self.propagation)))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        let (result, stats) =
-            crate::weihl::analyze_weihl_resume(graph, index, prev, paths, self.propagation)?;
-        Some(Ok(ResumeOutcome {
-            solution: Box::new(result),
-            stats,
-        }))
-    }
-}
-
 impl Solution for WeihlResult {
-    fn analysis(&self) -> &'static str {
-        "weihl"
+    fn kind(&self) -> SolverKind {
+        SolverKind::Weihl
     }
     fn pairs(&self) -> Option<usize> {
         Some(self.total_pairs())
@@ -731,14 +438,8 @@ impl Solution for WeihlResult {
     fn path_universe(&self) -> Option<&PathTable> {
         Some(&self.paths)
     }
-    fn as_weihl(&self) -> Option<&WeihlResult> {
+    fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
         Some(self)
-    }
-    fn into_weihl(self: Box<Self>) -> Option<WeihlResult> {
-        Some(*self)
-    }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Weihl)
     }
     fn func_extractor<'a>(
         &'a self,
@@ -758,38 +459,6 @@ impl Solution for WeihlResult {
     }
 }
 
-/// Steensgaard's unification baseline as a [`Solver`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SteensgaardSolver;
-
-impl Solver for SteensgaardSolver {
-    fn name(&self) -> &str {
-        "steensgaard"
-    }
-
-    fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        Ok(Box::new(SteensSolution {
-            inner: RefCell::new(analyze_steensgaard(graph)),
-        }))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        _ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        let (result, stats) = crate::steensgaard::replay_steensgaard(graph, index, prev)?;
-        Some(Ok(ResumeOutcome {
-            solution: Box::new(SteensSolution {
-                inner: RefCell::new(result),
-            }),
-            stats,
-        }))
-    }
-}
-
 /// [`SteensResult`] behind the uniform view. Union-find queries compress
 /// paths, so the interior is mutable; the `RefCell` keeps the shared
 /// `&self` query API of the other solutions.
@@ -798,16 +467,16 @@ pub struct SteensSolution {
 }
 
 impl SteensSolution {
-    /// The wrapped union-find result, cloned out for callers that need
-    /// the concrete query API.
-    pub fn to_steens(&self) -> SteensResult {
-        self.inner.borrow().clone()
+    /// The wrapped union-find result, for callers that need the
+    /// concrete (`&mut`) query API.
+    pub fn into_inner(self) -> SteensResult {
+        self.inner.into_inner()
     }
 }
 
 impl Solution for SteensSolution {
-    fn analysis(&self) -> &'static str {
-        "steensgaard"
+    fn kind(&self) -> SolverKind {
+        SolverKind::Steensgaard
     }
     fn pairs(&self) -> Option<usize> {
         None
@@ -830,15 +499,6 @@ impl Solution for SteensSolution {
         bases.dedup();
         bases
     }
-    fn as_steens(&self) -> Option<&SteensSolution> {
-        Some(self)
-    }
-    fn into_steens(self: Box<Self>) -> Option<SteensResult> {
-        Some(self.inner.into_inner())
-    }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Steens)
-    }
     fn func_extractor<'a>(
         &'a self,
         graph: &'a Graph,
@@ -858,52 +518,9 @@ impl Solution for SteensSolution {
     }
 }
 
-/// The k=1 call-string analysis as a [`Solver`].
-#[derive(Debug, Clone, Default)]
-pub struct CallStringSolver {
-    /// Solver options.
-    pub config: CallStringConfig,
-}
-
-impl Solver for CallStringSolver {
-    fn name(&self) -> &str {
-        "k1"
-    }
-
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        let k1 = analyze_callstring_from(graph, paths, &self.config)?;
-        Ok(Box::new(k1))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        match crate::callstring::analyze_callstring_resume(graph, index, prev, paths, &self.config)?
-        {
-            Ok((result, stats)) => Some(Ok(ResumeOutcome {
-                solution: Box::new(result),
-                stats,
-            })),
-            Err(e) => Some(Err(e.into())),
-        }
-    }
-}
-
 impl Solution for CallStringResult {
-    fn analysis(&self) -> &'static str {
-        "k1"
+    fn kind(&self) -> SolverKind {
+        SolverKind::CallString1
     }
     fn pairs(&self) -> Option<usize> {
         Some(self.total_pairs())
@@ -936,15 +553,6 @@ impl Solution for CallStringResult {
     fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
         Some(self)
     }
-    fn as_k1(&self) -> Option<&CallStringResult> {
-        Some(self)
-    }
-    fn into_k1(self: Box<Self>) -> Option<CallStringResult> {
-        Some(*self)
-    }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::K1)
-    }
     fn func_extractor<'a>(
         &'a self,
         graph: &'a Graph,
@@ -960,7 +568,8 @@ impl Solution for CallStringResult {
     }
 }
 
-/// Which of the five analyses a [`SolverSpec`] describes.
+/// Which of the five analyses a [`SolverSpec`] describes, and which
+/// vocabulary a [`SolverSummaries`] is expressed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// Weihl's program-wide flow-insensitive baseline.
@@ -973,13 +582,21 @@ pub enum SolverKind {
     CallString1,
     /// The assumption-set context-sensitive analysis (§4).
     Cs,
-    /// The demand-driven point-query view of the CI analysis. Not part
-    /// of [`SolverSpec::all`]: it answers queries, not spectra.
-    Demand,
 }
 
 impl SolverKind {
-    /// Stable machine-readable name, matching [`Solver::name`].
+    /// All five analyses in spectrum order — coarsest (Weihl) to finest
+    /// (assumption-set CS).
+    pub const ALL: [SolverKind; 5] = [
+        SolverKind::Weihl,
+        SolverKind::Steensgaard,
+        SolverKind::Ci,
+        SolverKind::CallString1,
+        SolverKind::Cs,
+    ];
+
+    /// Stable machine-readable name, used in reports, the protocol and
+    /// the persistent store's versioned `SummaryPayload`.
     pub fn name(self) -> &'static str {
         match self {
             SolverKind::Weihl => "weihl",
@@ -987,25 +604,29 @@ impl SolverKind {
             SolverKind::Ci => "ci",
             SolverKind::CallString1 => "k1",
             SolverKind::Cs => "cs",
-            SolverKind::Demand => "demand",
         }
+    }
+
+    /// Inverse of [`SolverKind::name`].
+    pub fn by_name(name: &str) -> Option<SolverKind> {
+        SolverKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
-/// One builder-style description of any solver configuration.
+/// One builder-style description of any solver configuration, and the
+/// solver itself.
 ///
 /// Collapses the per-solver config scatter (`CiConfig`, `CsConfig`,
 /// `CallStringConfig`, the `Propagation` knob, step budgets) into a
 /// single value that every harness — the engine, the CLI `spectrum`,
-/// the figure bins, the fuzzer — constructs solvers from, so no caller
-/// hard-codes five call sites again. Knobs a given analysis does not
-/// have are simply ignored by [`SolverSpec::build`]:
+/// the figure bins, the fuzzer — solves with, so no caller hard-codes
+/// five call sites again. Knobs a given analysis does not have are
+/// simply ignored by [`SolverSpec::solve`]:
 ///
 /// ```
 /// use alias::SolverSpec;
 /// let spec = SolverSpec::cs().subsumption(false).max_steps(1_000_000);
-/// let solver = spec.build(); // Box<dyn Solver>
-/// assert_eq!(solver.name(), "cs");
+/// assert_eq!(spec.name(), "cs");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverSpec {
@@ -1062,38 +683,15 @@ impl SolverSpec {
         SolverSpec::new(SolverKind::CallString1)
     }
 
-    /// The demand-driven CI query solver, default knobs and budgets.
-    pub fn demand() -> SolverSpec {
-        SolverSpec::new(SolverKind::Demand)
-    }
-
-    /// Looks up a default spec by [`Solver::name`].
+    /// Looks up a default spec by [`SolverKind::name`].
     pub fn by_name(name: &str) -> Option<SolverSpec> {
-        let kind = match name {
-            "weihl" => SolverKind::Weihl,
-            "steensgaard" => SolverKind::Steensgaard,
-            "ci" => SolverKind::Ci,
-            "k1" => SolverKind::CallString1,
-            "cs" => SolverKind::Cs,
-            "demand" => SolverKind::Demand,
-            _ => return None,
-        };
-        Some(SolverSpec::new(kind))
+        SolverKind::by_name(name).map(SolverSpec::new)
     }
 
     /// All five analyses with default knobs, in spectrum order —
     /// coarsest (Weihl) to finest (assumption-set CS).
     pub fn all() -> Vec<SolverSpec> {
-        [
-            SolverKind::Weihl,
-            SolverKind::Steensgaard,
-            SolverKind::Ci,
-            SolverKind::CallString1,
-            SolverKind::Cs,
-        ]
-        .into_iter()
-        .map(SolverSpec::new)
-        .collect()
+        SolverKind::ALL.into_iter().map(SolverSpec::new).collect()
     }
 
     /// All five analyses with difference propagation disabled wherever
@@ -1111,7 +709,7 @@ impl SolverSpec {
         self.kind
     }
 
-    /// The spec's [`Solver::name`].
+    /// The spec's [`SolverKind::name`].
     pub fn name(&self) -> &'static str {
         self.kind.name()
     }
@@ -1203,86 +801,179 @@ impl SolverSpec {
         }
     }
 
-    /// Constructs the described solver. Knobs the analysis does not
-    /// have are ignored.
-    pub fn build(&self) -> Box<dyn Solver> {
-        match self.kind {
-            SolverKind::Weihl => Box::new(WeihlSolver {
-                propagation: self.propagation,
-            }),
-            SolverKind::Steensgaard => Box::new(SteensgaardSolver),
-            SolverKind::Ci => Box::new(CiSolver {
-                config: self.ci_config(),
-            }),
-            SolverKind::CallString1 => Box::new(CallStringSolver {
-                config: self.callstring_config(),
-            }),
-            SolverKind::Cs => Box::new(CsSolver {
-                config: self.cs_config(),
-            }),
-            SolverKind::Demand => Box::new(crate::demand::DemandSolver {
-                config: crate::demand::DemandConfig {
-                    ci: self.ci_config(),
-                    ..crate::demand::DemandConfig::default()
-                },
-            }),
-        }
-    }
-
-    /// Runs the described solver, like `self.build().solve(..)` but
-    /// without the intermediate box.
+    /// Runs the described analysis over `graph`. Knobs the analysis
+    /// does not have are ignored.
+    ///
+    /// `ci` is an optional previously computed context-insensitive
+    /// solution *for the same graph*: the CS solver uses it for the
+    /// §4.2 pruning optimizations (and computes its own if absent), and
+    /// the pair-based baselines adopt its path table so pair ids stay
+    /// comparable across solvers. Passing a CI result from a different
+    /// graph is a logic error.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::StepLimit`] when a budgeted solver (CS, k=1)
-    /// exhausts [`SolverSpec::max_steps`].
+    /// exhausts [`SolverSpec::max_steps`]; the always-terminating
+    /// solvers never fail.
     pub fn solve(
         &self,
         graph: &Graph,
         ci: Option<&CiResult>,
     ) -> Result<SolutionBox, AnalysisError> {
-        self.build().solve(graph, ci)
+        Ok(match self.kind {
+            SolverKind::Weihl => Box::new(analyze_weihl_with(
+                graph,
+                shared_paths(graph, ci),
+                self.propagation,
+            )),
+            SolverKind::Steensgaard => Box::new(SteensSolution {
+                inner: RefCell::new(analyze_steensgaard(graph)),
+            }),
+            SolverKind::Ci => Box::new(analyze_ci(graph, &self.ci_config())),
+            SolverKind::CallString1 => Box::new(analyze_callstring_from(
+                graph,
+                shared_paths(graph, ci),
+                &self.callstring_config(),
+            )?),
+            SolverKind::Cs => match ci {
+                Some(ci) => Box::new(analyze_cs(graph, ci, &self.cs_config())?),
+                None => Box::new(analyze_cs(
+                    graph,
+                    &self.cs_companion(graph),
+                    &self.cs_config(),
+                )?),
+            },
+        })
     }
 
-    /// Runs the CI analysis with this spec's knobs through the unified
-    /// solver path and hands back the concrete result — the one typed
-    /// entry point harnesses use to compute the shared vocabulary they
-    /// then pass to [`SolverSpec::solve`]. The spec's
-    /// [`SolverSpec::kind`] is ignored: whatever analysis it names, the
-    /// CI projection of its knobs is what runs.
+    /// Re-solves `graph` seeded from a previous run's summaries: clean
+    /// functions' facts replay as silent seeds, only the dirty cone
+    /// iterates, and the result is fixpoint-identical to a fresh solve
+    /// (the subset-seeding argument, per vocabulary — see `DESIGN.md`
+    /// §12). `ci` is the same optional companion as for
+    /// [`SolverSpec::solve`].
+    ///
+    /// Returns `None` when this analysis cannot resume from `prev`
+    /// (wrong vocabulary, configuration without stable naming, rejected
+    /// plan): the caller falls back to a fresh solve. `Some(Err(_))`
+    /// means the resume itself exhausted a step budget — also a
+    /// fresh-solve fallback, but worth distinguishing for diagnostics.
+    pub fn resume(
+        &self,
+        graph: &Graph,
+        index: &GraphIndex,
+        prev: &SolverSummaries,
+        ci: Option<&CiResult>,
+    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
+        let (solution, stats): (SolutionBox, ResumeStats) = match self.kind {
+            SolverKind::Ci => {
+                // Call-string heap naming keys allocations by caller,
+                // which the stable vocabulary does not carry; fault
+                // injection would make the seeded and fresh runs
+                // observe different graphs.
+                if self.heap_naming != HeapNaming::Site || self.fault != Fault::None {
+                    return None;
+                }
+                let plan = plan_ci_resume(graph, index, prev)?;
+                let mut dirty: Vec<String> = plan
+                    .dirty
+                    .iter()
+                    .map(|f| graph.func(*f).name.clone())
+                    .collect();
+                dirty.sort_unstable();
+                let stats = ResumeStats {
+                    dirty,
+                    clean: graph.func_count() - plan.dirty.len(),
+                    cone_outputs: plan.cone_outputs,
+                    seeded_outputs: plan.seeded_outputs,
+                    total_outputs: graph.output_count(),
+                };
+                let result = analyze_ci_resume(graph, &self.ci_config(), plan);
+                (Box::new(result), stats)
+            }
+            SolverKind::Cs => {
+                // The seeded CS needs the *current* CI companion both
+                // for pruning and for the pruning-drift check; compute
+                // one with matching knobs if the caller has none,
+                // exactly as `solve`.
+                let owned;
+                let ci = match ci {
+                    Some(ci) => ci,
+                    None => {
+                        owned = self.cs_companion(graph);
+                        &owned
+                    }
+                };
+                match crate::cs::analyze_cs_resume(graph, index, ci, prev, &self.cs_config())? {
+                    Ok((result, stats)) => (Box::new(result), stats),
+                    Err(e) => return Some(Err(e.into())),
+                }
+            }
+            SolverKind::Weihl => {
+                let (result, stats) = crate::weihl::analyze_weihl_resume(
+                    graph,
+                    index,
+                    prev,
+                    shared_paths(graph, ci),
+                    self.propagation,
+                )?;
+                (Box::new(result), stats)
+            }
+            SolverKind::Steensgaard => {
+                let (result, stats) = crate::steensgaard::replay_steensgaard(graph, index, prev)?;
+                let solution = SteensSolution {
+                    inner: RefCell::new(result),
+                };
+                (Box::new(solution), stats)
+            }
+            SolverKind::CallString1 => {
+                match crate::callstring::analyze_callstring_resume(
+                    graph,
+                    index,
+                    prev,
+                    shared_paths(graph, ci),
+                    &self.callstring_config(),
+                )? {
+                    Ok((result, stats)) => (Box::new(result), stats),
+                    Err(e) => return Some(Err(e.into())),
+                }
+            }
+        };
+        Some(Ok(ResumeOutcome { solution, stats }))
+    }
+
+    /// Runs the CI analysis with this spec's knobs and hands back the
+    /// concrete result — the one typed entry point harnesses use to
+    /// compute the shared vocabulary they then pass to
+    /// [`SolverSpec::solve`]. The spec's [`SolverSpec::kind`] is
+    /// ignored: whatever analysis it names, the CI projection of its
+    /// knobs is what runs.
     pub fn solve_ci(&self, graph: &Graph) -> CiResult {
-        SolverSpec::new(SolverKind::Ci)
-            .strong_updates(self.strong_updates)
-            .order(self.order)
-            .heap_naming(self.heap_naming)
-            .propagation(self.propagation)
-            .fault(self.fault)
-            .solve(graph, None)
-            .expect("the CI solver has no step budget")
-            .into_ci()
-            .expect("a CI solve yields a CI result")
+        analyze_ci(graph, &self.ci_config())
+    }
+
+    /// The CI companion a CS solve computes when the caller has none:
+    /// pruning requires heap naming and strong updates to agree.
+    fn cs_companion(&self, graph: &Graph) -> CiResult {
+        analyze_ci(
+            graph,
+            &CiConfig {
+                strong_updates: self.strong_updates,
+                heap_naming: self.heap_naming,
+                ..CiConfig::default()
+            },
+        )
     }
 }
 
-/// All five solvers with default options, in spectrum order — coarsest
-/// (Weihl) to finest (assumption-set CS).
-pub fn all_solvers() -> Vec<Box<dyn Solver>> {
-    SolverSpec::all().iter().map(SolverSpec::build).collect()
-}
-
-/// All five solvers with difference propagation disabled wherever a
-/// solver has that knob (CI, Weihl, k=1). Steensgaard and the
-/// assumption-set CS analysis have no naive/delta distinction.
-pub fn all_solvers_naive() -> Vec<Box<dyn Solver>> {
-    SolverSpec::all_naive()
-        .iter()
-        .map(SolverSpec::build)
-        .collect()
-}
-
-/// Looks up a solver (default options) by its [`Solver::name`].
-pub fn solver_by_name(name: &str) -> Option<Box<dyn Solver>> {
-    SolverSpec::by_name(name).map(|s| s.build())
+/// The path table a pair-based baseline starts from: the shared CI
+/// one when given, so pair ids stay comparable across solutions.
+fn shared_paths(graph: &Graph, ci: Option<&CiResult>) -> PathTable {
+    match ci {
+        Some(ci) => ci.paths.clone(),
+        None => PathTable::for_graph(graph),
+    }
 }
 
 #[cfg(test)]
@@ -1300,18 +991,20 @@ mod tests {
 
     #[test]
     fn registry_has_five_distinct_solvers() {
-        let names: Vec<String> = all_solvers().iter().map(|s| s.name().to_string()).collect();
+        let names: Vec<&str> = SolverSpec::all().iter().map(SolverSpec::name).collect();
         assert_eq!(names, ["weihl", "steensgaard", "ci", "k1", "cs"]);
-        assert!(solver_by_name("cs").is_some());
-        assert!(solver_by_name("andersen").is_none());
+        assert!(SolverSpec::by_name("cs").is_some());
+        assert!(SolverSpec::by_name("andersen").is_none());
+        assert!(SolverSpec::by_name("demand").is_none());
     }
 
     #[test]
     fn every_solver_produces_a_queryable_solution() {
         let graph = graph_of(SRC);
         let ci = analyze_ci(&graph, &CiConfig::default());
-        for s in all_solvers() {
+        for s in SolverSpec::all() {
             let sol = s.solve(&graph, Some(&ci)).unwrap();
+            assert_eq!(sol.kind(), s.kind());
             assert_eq!(sol.analysis(), s.name());
             for (node, _) in graph.indirect_mem_ops() {
                 assert!(
@@ -1327,8 +1020,8 @@ mod tests {
     fn cs_without_shared_ci_computes_its_own() {
         let graph = graph_of(SRC);
         let ci = analyze_ci(&graph, &CiConfig::default());
-        let with = CsSolver::default().solve(&graph, Some(&ci)).unwrap();
-        let without = CsSolver::default().solve(&graph, None).unwrap();
+        let with = SolverSpec::cs().solve(&graph, Some(&ci)).unwrap();
+        let without = SolverSpec::cs().solve(&graph, None).unwrap();
         assert_eq!(with.pairs(), without.pairs());
     }
 }

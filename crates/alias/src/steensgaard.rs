@@ -18,9 +18,8 @@
 
 use crate::fingerprint::GraphIndex;
 use crate::fxhash::HashMap;
-use crate::summary::{
-    FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, SteensConstraint, Vocab,
-};
+use crate::solver::SolverKind;
+use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, SteensConstraint};
 use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
 
 /// An equivalence-class representative id.
@@ -382,7 +381,7 @@ pub(crate) fn replay_steensgaard(
     index: &GraphIndex,
     prev: &SolverSummaries,
 ) -> Option<(SteensResult, ResumeStats)> {
-    if index.unsafe_reason.is_some() || prev.vocab != Vocab::Steens {
+    if index.unsafe_reason.is_some() || prev.vocab != SolverKind::Steensgaard {
         return None;
     }
     let mut ecrs = Ecrs::new();

@@ -34,47 +34,7 @@
 
 use crate::fingerprint::{StablePair, StablePath};
 use crate::fxhash::HashMap;
-
-/// Which solver vocabulary a [`SolverSummaries`] is expressed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Vocab {
-    /// Weihl's program-wide flow-insensitive baseline.
-    Weihl,
-    /// Steensgaard's unification baseline (constraint atoms).
-    Steens,
-    /// The context-insensitive analysis (§3).
-    Ci,
-    /// The k=1 call-string analysis.
-    K1,
-    /// The assumption-set context-sensitive analysis (§4).
-    Cs,
-}
-
-impl Vocab {
-    /// Stable machine-readable name, used by the persistent store's
-    /// versioned `SummaryPayload` and by `ruf95 stats`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Vocab::Weihl => "weihl",
-            Vocab::Steens => "steensgaard",
-            Vocab::Ci => "ci",
-            Vocab::K1 => "k1",
-            Vocab::Cs => "cs",
-        }
-    }
-
-    /// Inverse of [`Vocab::name`].
-    pub fn by_name(name: &str) -> Option<Vocab> {
-        Some(match name {
-            "weihl" => Vocab::Weihl,
-            "steensgaard" => Vocab::Steens,
-            "ci" => Vocab::Ci,
-            "k1" => Vocab::K1,
-            "cs" => Vocab::Cs,
-            _ => return None,
-        })
-    }
-}
+use crate::solver::SolverKind;
 
 /// A k=1 calling context in stable vocabulary: the root, or a call site
 /// named by its owning function and node offset within it. `Ord` so
@@ -224,12 +184,14 @@ pub struct FunctionSummary {
 }
 
 /// A whole program's summaries under one solver vocabulary: the unit
-/// the [`crate::Solver`] `summarize`/`resume` capability produces and
-/// consumes, the `SummaryCache` memoizes, and the disk store persists.
+/// [`crate::solver::summarize_serial`] produces,
+/// [`crate::SolverSpec::resume`] consumes, the `SummaryCache` memoizes,
+/// and the disk store persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverSummaries {
-    /// The vocabulary the facts are expressed in.
-    pub vocab: Vocab,
+    /// The vocabulary the facts are expressed in: the analysis that
+    /// produced them.
+    pub vocab: SolverKind,
     /// Per-function summaries, keyed by function name.
     pub funcs: HashMap<String, FunctionSummary>,
     /// The program-wide store relation (Weihl only; empty otherwise).
@@ -238,7 +200,7 @@ pub struct SolverSummaries {
 
 impl SolverSummaries {
     /// An empty container for `vocab`.
-    pub fn new(vocab: Vocab) -> SolverSummaries {
+    pub fn new(vocab: SolverKind) -> SolverSummaries {
         SolverSummaries {
             vocab,
             funcs: HashMap::default(),

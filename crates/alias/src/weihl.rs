@@ -17,7 +17,8 @@ use crate::fingerprint::GraphIndex;
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, Vocab};
+use crate::solver::SolverKind;
+use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries};
 use std::collections::VecDeque;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
 
@@ -674,7 +675,7 @@ pub(crate) fn analyze_weihl_resume(
     propagation: Propagation,
 ) -> Option<(WeihlResult, ResumeStats)> {
     use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != Vocab::Weihl {
+    if prev.vocab != SolverKind::Weihl {
         return None;
     }
     let mut paths = paths;

@@ -2,7 +2,7 @@
 //! subsumption, and CI pruning.
 
 use alias::stats::indirect_ref_rows;
-use alias::SolverSpec;
+use alias::{CsResult, SolverSpec};
 
 fn main() {
     println!("Ablation study\n");
@@ -16,13 +16,13 @@ fn main() {
             .subsumption(false)
             .max_steps(budget)
             .solve(&d.graph, Some(&d.ci))
-            .map(|s| s.into_cs().expect("cs result"));
+            .map(|s| s.downcast::<CsResult>().expect("cs result"));
         // CS without CI pruning.
         let no_prune = SolverSpec::cs()
             .ci_pruning(false)
             .max_steps(budget)
             .solve(&d.graph, Some(&d.ci))
-            .map(|s| s.into_cs().expect("cs result"));
+            .map(|s| s.downcast::<CsResult>().expect("cs result"));
         let fmt_cs = |r: &Result<alias::CsResult, alias::AnalysisError>| match r {
             Ok(cs) => format!("{}", cs.flow_ins),
             Err(_) => "OVERFLOW".to_string(),

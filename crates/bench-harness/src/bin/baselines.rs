@@ -13,7 +13,7 @@
 //! referenced per indirect memory operation under each analysis (the
 //! field-insensitive unification baseline can only be compared at base
 //! granularity), plus analysis time. All five solvers run through the
-//! uniform `alias::Solver` trait, fanned out by the parallel engine.
+//! uniform `alias::SolverSpec::solve`, fanned out by the parallel engine.
 
 /// Average distinct referent bases per indirect op under one solution.
 fn avg_bases(sol: &dyn alias::Solution, graph: &vdg::Graph) -> f64 {

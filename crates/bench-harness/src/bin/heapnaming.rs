@@ -13,7 +13,7 @@
 //! spurious percentage under site naming vs k=1 call-string naming.
 
 use alias::stats::spurious_row;
-use alias::{HeapNaming, SolverSpec};
+use alias::{CsResult, HeapNaming, SolverSpec};
 use vdg::build::{lower, BuildOptions};
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
                 .heap_naming(naming)
                 .max_steps(5_000_000)
                 .solve(&graph, Some(&ci))
-                .map(|s| s.into_cs().expect("cs result"));
+                .map(|s| s.downcast::<CsResult>().expect("cs result"));
             match cs {
                 Ok(cs) => {
                     let row = spurious_row(&graph, &ci, &cs);

@@ -597,7 +597,7 @@ fn cmd_run(a: &Analysis, name: &str) -> Result<(), String> {
 }
 
 /// The five-analysis spectrum, driven by one engine invocation over the
-/// program: every solver runs through the uniform `alias::Solver` trait
+/// program: every solver runs through the uniform `alias::SolverSpec`
 /// and the table reads back through the `Solution` view.
 fn cmd_spectrum(name: &str, source: &str, json: bool) -> Result<(), AnalysisError> {
     const ORDER: [&str; 5] = ["weihl", "steensgaard", "ci", "k1", "cs"];

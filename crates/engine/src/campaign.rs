@@ -42,7 +42,7 @@ use crate::fuzz::{self, FuzzConfig, JobOutcome};
 use crate::pool;
 use crate::shrink::shrink;
 use alias::fingerprint::fnv64_parts;
-use proto::json::Value;
+use proto::json::{json_str, Value};
 use proto::{fp_hex, parse_fp_hex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -1075,8 +1075,8 @@ impl CampaignReport {
             }
             s.push_str("\n    {");
             s.push_str(&format!("\"fingerprint\": \"{}\", ", c.fingerprint));
-            s.push_str(&format!("\"kind\": \"{}\", ", esc(&c.kind)));
-            s.push_str(&format!("\"solver\": \"{}\", ", esc(&c.solver)));
+            s.push_str(&format!("\"kind\": {}, ", json_str(&c.kind)));
+            s.push_str(&format!("\"solver\": {}, ", json_str(&c.solver)));
             s.push_str(&format!("\"count\": {}, ", c.count));
             s.push_str(&format!(
                 "\"seeds\": [{}], ",
@@ -1086,9 +1086,9 @@ impl CampaignReport {
                     .collect::<Vec<_>>()
                     .join(", ")
             ));
-            s.push_str(&format!("\"detail\": \"{}\", ", esc(&c.detail)));
+            s.push_str(&format!("\"detail\": {}, ", json_str(&c.detail)));
             match &c.minimized {
-                Some(m) => s.push_str(&format!("\"minimized\": \"{}\"", esc(m))),
+                Some(m) => s.push_str(&format!("\"minimized\": {}", json_str(m))),
                 None => s.push_str("\"minimized\": null"),
             }
             s.push('}');
@@ -1104,10 +1104,10 @@ impl CampaignReport {
             }
             s.push_str("\n    {");
             s.push_str(&format!("\"seed\": {}, ", q.seed));
-            s.push_str(&format!("\"outcome\": \"{}\", ", esc(&q.outcome)));
-            s.push_str(&format!("\"detail\": \"{}\", ", esc(&q.detail)));
+            s.push_str(&format!("\"outcome\": {}, ", json_str(&q.outcome)));
+            s.push_str(&format!("\"detail\": {}, ", json_str(&q.detail)));
             s.push_str(&format!("\"shrunk\": {}, ", q.shrunk));
-            s.push_str(&format!("\"file\": \"{}\"", esc(&q.file)));
+            s.push_str(&format!("\"file\": {}", json_str(&q.file)));
             s.push('}');
         }
         if !self.quarantine.is_empty() {
@@ -1130,24 +1130,6 @@ impl CampaignReport {
         s.push_str("}\n");
         s
     }
-}
-
-/// JSON string escaping (shared shape with `fuzz::esc`, local to keep
-/// the modules independent).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

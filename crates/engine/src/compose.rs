@@ -1,9 +1,8 @@
 //! Bottom-up summary composition over the call graph.
 //!
-//! The alias crate's [`Summarize`](alias::solver::Solver::summarize)
-//! capability turns any solved analysis into caller-independent
-//! per-function [`FunctionSummary`](alias::summary::FunctionSummary)
-//! facts. Extraction is per-function and independent, so this module
+//! The alias crate's [`Solution::func_extractor`] turns any solved
+//! analysis into caller-independent per-function
+//! [`FunctionSummary`](alias::summary::FunctionSummary) facts. Extraction is per-function and independent, so this module
 //! schedules it the way a compositional analysis would run: strongly
 //! connected components of the call graph in reverse topological order
 //! (callees before callers), each *wave* of independent components
@@ -151,9 +150,9 @@ fn tarjan_sccs(adj: &[Vec<u32>]) -> Vec<usize> {
 /// Whole-program summary extraction, scheduled bottom-up and run
 /// wave-parallel. Facts-identical to
 /// [`summarize_serial`](alias::solver::summarize_serial): `None`
-/// exactly when the solution cannot be summarized (unstable naming, no
-/// vocabulary, or any function whose facts fall outside the stable
-/// vocabulary).
+/// exactly when the solution cannot be summarized (unstable naming, a
+/// missing companion, or any function whose facts fall outside the
+/// stable vocabulary).
 pub fn summarize(
     graph: &Graph,
     index: &GraphIndex,
@@ -164,13 +163,12 @@ pub fn summarize(
     if index.unsafe_reason.is_some() {
         return None;
     }
-    let vocab = sol.vocab()?;
     let extract = sol.func_extractor(graph, index, ci)?;
     let waves = match ci {
         Some(ci) => bottom_up_waves(graph, index, &ci.callees),
         None => vec![graph.func_ids().collect::<Vec<_>>()],
     };
-    let mut out = SolverSummaries::new(vocab);
+    let mut out = SolverSummaries::new(sol.kind());
     for wave in waves {
         // One wave = mutually independent call-graph components; the
         // extractor is `Sync`, so workers share it with no coordination.

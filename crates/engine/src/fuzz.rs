@@ -51,6 +51,7 @@ use crate::pool;
 use crate::shrink::shrink;
 use alias::solver::{Solution, SolutionBox};
 use alias::{AnalysisError, Fault, Propagation, SolverKind, SolverSpec};
+use proto::json::json_str;
 use std::time::{Duration, Instant};
 use suite::generator::{generate, GenConfig};
 use vdg::build::{lower, BuildOptions};
@@ -278,12 +279,12 @@ impl FuzzReport {
             }
             s.push_str("\n    {");
             s.push_str(&format!("\"seed\": {}, ", v.seed));
-            s.push_str(&format!("\"kind\": \"{}\", ", esc(&v.kind)));
-            s.push_str(&format!("\"solver\": \"{}\", ", esc(&v.solver)));
-            s.push_str(&format!("\"detail\": \"{}\", ", esc(&v.detail)));
-            s.push_str(&format!("\"source\": \"{}\", ", esc(&v.source)));
+            s.push_str(&format!("\"kind\": {}, ", json_str(&v.kind)));
+            s.push_str(&format!("\"solver\": {}, ", json_str(&v.solver)));
+            s.push_str(&format!("\"detail\": {}, ", json_str(&v.detail)));
+            s.push_str(&format!("\"source\": {}, ", json_str(&v.source)));
             match &v.minimized {
-                Some(m) => s.push_str(&format!("\"minimized\": \"{}\"", esc(m))),
+                Some(m) => s.push_str(&format!("\"minimized\": {}", json_str(m))),
                 None => s.push_str("\"minimized\": null"),
             }
             s.push('}');
@@ -311,22 +312,6 @@ impl FuzzReport {
             self.demand_queries,
         )
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A property failure before shrinking attaches the repro.

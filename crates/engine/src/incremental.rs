@@ -20,13 +20,14 @@
 //!    subset-seeding argument (`DESIGN.md` §12) guarantees the result
 //!    is numerically identical to a from-scratch solve.
 //!
-//! **All five solvers support tier 3** through the uniform
-//! [`Solver::resume`] capability: each resumes from summaries in its
-//! own stable vocabulary (CI/Weihl pair rows, k=1 per-context rows, CS
-//! qualified antichains, Steensgaard constraint atoms). A solver that
-//! cannot resume a particular edit — unstable naming, a configuration
-//! without stable summaries, a rejected plan — falls back to a fresh
-//! solve with the typed [`FreshReason`] recorded in its [`SolveMode`].
+//! **All five solvers support tier 3** through
+//! [`SolverSpec::resume`](alias::SolverSpec::resume): each resumes from
+//! summaries in its own stable vocabulary (CI/Weihl pair rows, k=1
+//! per-context rows, CS qualified antichains, Steensgaard constraint
+//! atoms). A solver that cannot resume a particular edit — unstable
+//! naming, a configuration without stable summaries, a rejected plan —
+//! falls back to a fresh solve with the typed [`FreshReason`] recorded
+//! in its [`SolveMode`].
 //!
 //! Reuse is sound only when the same [`Engine`] configuration produced
 //! the cached facts; the cache records the engine's full solver spec
@@ -36,7 +37,7 @@ use crate::report::IncrementalStats;
 use crate::{compose, pool, BenchOutput, Engine, EngineReport, EngineRun, Job, Solved};
 use alias::ci::CiResult;
 use alias::fingerprint::{fnv64, GraphIndex};
-use alias::solver::SolutionBox;
+use alias::solver::{SolutionBox, SolverKind};
 use alias::summary::{ResumeStats, SolverSummaries};
 use alias::{AnalysisError, Fault, HeapNaming};
 use std::collections::HashMap;
@@ -132,7 +133,8 @@ pub enum SolveMode {
 }
 
 impl SolveMode {
-    /// The mode a successful [`Solver::resume`] outcome reports.
+    /// The mode a successful [`SolverSpec::resume`](alias::SolverSpec::resume)
+    /// outcome reports.
     pub fn from_stats(stats: &ResumeStats) -> SolveMode {
         if stats.dirty.is_empty() {
             SolveMode::Reseeded {
@@ -193,7 +195,7 @@ pub type StoredSummaries = (u64, u64, HashMap<String, Arc<SolverSummaries>>);
 struct ProgramEntry {
     source_hash: u64,
     graph_fp: u64,
-    /// Memoized per-solver summaries by [`Solver::name`]. Matching
+    /// Memoized per-solver summaries by [`SolverKind::name`]. Matching
     /// stays content-addressed — a summary seeds a next-graph function
     /// only when its recorded fingerprint (which hashes the name and
     /// full VDG shape) matches — but the planners also need the
@@ -525,10 +527,10 @@ impl Engine {
             .enumerate()
             .filter(|(_, p)| matches!(p, IncPrep::Solve { .. }))
             .flat_map(|(bi, _)| {
-                self.solvers
+                self.specs
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.name() != "ci")
+                    .filter(|(_, s)| s.kind() != SolverKind::Ci)
                     .map(move |(si, _)| (bi, si))
             })
             .collect();
@@ -541,7 +543,7 @@ impl Engine {
                     } => (graph, index, ci),
                     _ => unreachable!("solve job on replayed benchmark"),
                 };
-                let s = &self.solvers[si];
+                let s = &self.specs[si];
                 let prev = metas[bi].as_ref().and_then(|m| m.summaries.get(s.name()));
                 let t = Instant::now();
                 let (outcome, mode) = match prev {
@@ -594,7 +596,7 @@ impl Engine {
             });
         let mut slots: Vec<Vec<Option<Solved>>> = preps
             .iter()
-            .map(|_| self.solvers.iter().map(|_| None).collect())
+            .map(|_| self.specs.iter().map(|_| None).collect())
             .collect();
         for (bi, si, s) in solved {
             slots[bi][si] = Some(s);
@@ -691,13 +693,12 @@ impl Engine {
                 if !any_clean {
                     fresh(FreshReason::EveryFunctionChanged)
                 } else {
-                    let ci_solver = self.ci.build();
-                    match ci_solver.resume(&graph, &index, prev, None) {
+                    match self.ci.resume(&graph, &index, prev, None) {
                         Some(Ok(out)) => {
                             let mode = SolveMode::from_stats(&out.stats);
                             let ci = out
                                 .solution
-                                .into_ci()
+                                .downcast::<CiResult>()
                                 .expect("the CI solver resumes to a CI result");
                             resumed = Some((ci, out.stats));
                             mode
@@ -718,7 +719,7 @@ impl Engine {
                 .ci
                 .solve(&graph, None)
                 .expect("the CI solver has no step budget")
-                .into_ci()
+                .downcast::<CiResult>()
                 .expect("the engine's ci spec must describe the CI analysis"),
         };
         let ci_wall = t2.elapsed();
@@ -839,7 +840,7 @@ impl Engine {
                 for (si, slot) in row.into_iter().enumerate() {
                     if let Some(s) = slot {
                         out.solutions.push(s);
-                    } else if self.solvers[si].name() == "ci" {
+                    } else if self.specs[si].kind() == SolverKind::Ci {
                         out.solutions.push(Solved {
                             analysis: "ci".to_string(),
                             wall: out.ci_wall,
@@ -870,7 +871,7 @@ impl Engine {
     ) {
         let e = cache.entries.get(&out.name).expect("replay needs an entry");
         let a = e.arts.as_ref().expect("replay requires artifacts");
-        for s in &self.solvers {
+        for s in &self.specs {
             let t = Instant::now();
             if let Some(sol) = a.solutions.get(s.name()) {
                 stats.solutions_replayed += 1;

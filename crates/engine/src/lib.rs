@@ -12,7 +12,7 @@
 //!                                  │                 │              │
 //!                                  └── Arc ──────────┴── Arc ───────┘
 //!            stage 2: solve (parallel over benchmark × solver jobs)
-//!   (graph, ci) ──▶ weihl │ steensgaard │ k=1 │ cs   (dyn Solver)
+//!   (graph, ci) ──▶ weihl │ steensgaard │ k=1 │ cs   (SolverSpec::solve)
 //!                                  │
 //!            EngineReport: frontend/lowering/solver wall times,
 //!            worklist iterations, pair counts — table or JSON
@@ -58,7 +58,7 @@ pub use report::{
 
 use alias::ci::CiResult;
 use alias::cs::CsResult;
-use alias::solver::{Solution, SolutionBox, Solver, SolverSpec};
+use alias::solver::{Solution, SolutionBox, SolverKind, SolverSpec};
 use alias::AnalysisError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,7 +138,6 @@ impl Job {
 pub struct Engine {
     threads: usize,
     specs: Vec<SolverSpec>,
-    solvers: Vec<Arc<dyn Solver>>,
     build: BuildOptions,
     ci: SolverSpec,
 }
@@ -153,11 +152,9 @@ impl Engine {
     /// An engine over all five solvers with default options and
     /// auto-detected parallelism.
     pub fn new() -> Self {
-        let specs = SolverSpec::all();
         Engine {
             threads: 0,
-            solvers: specs.iter().map(|s| Arc::from(s.build())).collect(),
-            specs,
+            specs: SolverSpec::all(),
             build: BuildOptions::default(),
             ci: SolverSpec::ci(),
         }
@@ -170,14 +167,13 @@ impl Engine {
         self
     }
 
-    /// Replaces the solver list with solvers built from `specs` — the
-    /// single configuration surface (see [`SolverSpec`]): no caller
-    /// constructs a solver stage by hand. The shared CI solution is
+    /// Replaces the solver list with `specs` — the single configuration
+    /// surface (see [`SolverSpec`]): no caller constructs a solver stage
+    /// by hand. The shared CI solution is
     /// computed in the prepare stage regardless (it is the common
     /// vocabulary the other solvers key their path tables off), and a
     /// listed `"ci"` solver reports that run rather than re-solving.
     pub fn specs(mut self, specs: &[SolverSpec]) -> Self {
-        self.solvers = specs.iter().map(|s| Arc::from(s.build())).collect();
         self.specs = specs.to_vec();
         self
     }
@@ -249,10 +245,10 @@ impl Engine {
             .iter()
             .enumerate()
             .flat_map(|(bi, _)| {
-                self.solvers
+                self.specs
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.name() != "ci")
+                    .filter(|(_, s)| s.kind() != SolverKind::Ci)
                     .map(move |(si, _)| (bi, si))
             })
             .collect();
@@ -260,7 +256,7 @@ impl Engine {
             pool::run_indexed(solve_jobs.len(), threads, |k| {
                 let (bi, si) = solve_jobs[k];
                 let b = &benches[bi];
-                let s = &self.solvers[si];
+                let s = &self.specs[si];
                 let t = Instant::now();
                 let outcome = s.solve(&b.graph, Some(&b.ci));
                 let wall = t.elapsed();
@@ -303,7 +299,7 @@ impl Engine {
             .collect();
         let mut slots: Vec<Vec<Option<Solved>>> = outputs
             .iter()
-            .map(|_| self.solvers.iter().map(|_| None).collect())
+            .map(|_| self.specs.iter().map(|_| None).collect())
             .collect();
         for (bi, si, s) in solved {
             slots[bi][si] = Some(s);
@@ -312,7 +308,7 @@ impl Engine {
             for (si, slot) in row.into_iter().enumerate() {
                 if let Some(s) = slot {
                     outputs[bi].solutions.push(s);
-                } else if self.solvers[si].name() == "ci" {
+                } else if self.specs[si].kind() == SolverKind::Ci {
                     // The shared prepare-stage run doubles as the CI
                     // solver's product.
                     let b = &mut outputs[bi];
@@ -352,7 +348,7 @@ impl Engine {
             .ci
             .solve(&graph, None)
             .expect("the CI solver has no step budget")
-            .into_ci()
+            .downcast::<CiResult>()
             .expect("the engine's ci spec must describe the CI analysis");
         let ci_wall = t2.elapsed();
         Ok(Prepared {
@@ -384,7 +380,7 @@ struct Prepared {
 
 /// One solver's outcome on one benchmark.
 pub struct Solved {
-    /// The solver's [`Solver::name`].
+    /// The solver's [`SolverKind::name`].
     pub analysis: String,
     /// Wall-clock time of the solve call.
     pub wall: Duration,
@@ -441,7 +437,7 @@ impl BenchOutput {
     /// The concrete CS result, if a CS solver ran and stayed within
     /// budget.
     pub fn cs(&self) -> Option<&CsResult> {
-        self.solution("cs").and_then(Solution::as_cs)
+        self.solution("cs").and_then(|s| s.downcast_ref())
     }
 
     /// The per-benchmark metrics row this output contributes to an

@@ -15,12 +15,13 @@
 //! …) must be scrubbed there, and nowhere else, or it would silently
 //! perturb fingerprints.
 
+use proto::json::json_str;
 use std::time::Duration;
 
 /// Metrics for one solver on one benchmark.
 #[derive(Debug, Clone)]
 pub struct SolverMetrics {
-    /// [`alias::Solver::name`] of the producing solver.
+    /// [`alias::SolverKind::name`] of the producing solver.
     pub analysis: String,
     /// Wall-clock time of the solve call.
     pub wall: Duration,
@@ -328,25 +329,6 @@ impl EngineReport {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// JSON string literal with the escapes the report can actually contain.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_opt(v: Option<String>) -> String {

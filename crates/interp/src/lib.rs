@@ -35,7 +35,7 @@ pub use oracle::{check_solution, check_solution_dyn, Violation};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alias::SolverSpec;
+    use alias::{CsResult, SolverSpec};
     use vdg::build::{lower, BuildOptions};
 
     fn exec(src: &str) -> Outcome {
@@ -64,7 +64,7 @@ mod tests {
         let cs = SolverSpec::cs()
             .solve(&g, Some(&ci))
             .expect("cs budget")
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         let out = run(&p, &Config::default()).expect("runs");
         let v_ci = check_solution(&p, &g, &ci, &out.trace);

@@ -199,7 +199,17 @@ impl Value {
     }
 }
 
-fn write_json_str(s: &str, out: &mut String) {
+/// `s` as a JSON string literal, quotes included.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(s, &mut out);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal: the tree's one string
+/// escaper, shared by [`Value::render`] and the hand-rolled report
+/// writers.
+pub fn write_json_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

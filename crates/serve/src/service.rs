@@ -24,7 +24,7 @@
 use crate::store::{LoadOutcome, Store, StoredBench, StoredProject, StoredSummaries};
 use alias::fingerprint::{fnv64, stable_base_key, Fnv64, GraphIndex};
 use alias::solver::solution_fingerprint;
-use alias::{DemandConfig, DemandSolution};
+use alias::{DemandConfig, DemandState};
 use engine::check::{diagnostics_json, fp_monotone_violation, render_diagnostics, BenchChecks};
 use engine::{BenchOutput, CheckCache, EngineRun, Job, SummaryCache};
 use proto::json::Value;
@@ -94,7 +94,7 @@ struct DemandBench {
     source_fp: u64,
     source: String,
     graph: vdg::graph::Graph,
-    sol: DemandSolution,
+    state: DemandState,
 }
 
 /// Cached fingerprint work for one benchmark (see [`Session::fps_memo`]).
@@ -670,7 +670,7 @@ impl Service {
 
     /// Answers a query against an unsolved benchmark by demand-driven
     /// search: compile + lower only (no fixpoint), then let the
-    /// [`DemandSolution`] activate and solve just the backward slice
+    /// [`DemandState`] activate and solve just the backward slice
     /// the query touches. The source comes from the persisted store
     /// when the bench is known there, else from the request's inline
     /// job. Solved state is memoized per bench, so repeated queries
@@ -711,7 +711,7 @@ impl Service {
                 Ok(g) => g,
                 Err(e) => return err(format!("query: lower {bench:?}: {e}")),
             };
-            let sol = DemandSolution::new(
+            let state = DemandState::new(
                 &graph,
                 DemandConfig {
                     ci: alias::SolverSpec::ci().ci_config(),
@@ -724,11 +724,11 @@ impl Service {
                     source_fp,
                     source,
                     graph,
-                    sol,
+                    state,
                 },
             );
         }
-        let db = session.demand.get(bench).expect("inserted above");
+        let db = session.demand.get_mut(bench).expect("inserted above");
         let sites = db.graph.indirect_mem_ops();
         let file = cfront::SourceFile::new(bench, &db.source);
         #[allow(clippy::result_large_err)]
@@ -747,14 +747,14 @@ impl Service {
                 kind: if is_write { "write" } else { "read" }.to_string(),
             })
         };
-        let before = db.sol.stats();
+        let before = db.state.stats();
         let answer = match *query {
             QueryKind::MayAlias { a, b: bi } => {
                 let (sa, sb) = match (site_info(a), site_info(bi)) {
                     (Ok(x), Ok(y)) => (x, y),
                     (Err(e), _) | (_, Err(e)) => return e,
                 };
-                let (may, bases) = db.sol.may_alias(&db.graph, sites[a].0, sites[bi].0);
+                let (may, bases) = db.state.may_alias(&db.graph, sites[a].0, sites[bi].0);
                 let witnesses: Vec<String> = bases
                     .iter()
                     .map(|&x| stable_base_key(&db.graph, x))
@@ -776,11 +776,11 @@ impl Service {
                 // byte-identical to the exhaustive CI rendering.
                 QueryAnswer::Referents {
                     site: info,
-                    referents: db.sol.loc_referents_rendered(&db.graph, node),
+                    referents: db.state.loc_referents_rendered(&db.graph, node),
                 }
             }
         };
-        let after = db.sol.stats();
+        let after = db.state.stats();
         let hit = after.demand_hits > before.demand_hits;
         session.demand_hits += after.demand_hits - before.demand_hits;
         session.demand_fallbacks += after.fallbacks - before.fallbacks;

@@ -29,8 +29,9 @@
 use alias::fingerprint::{fnv64, StableOp, StablePair, StablePath};
 use alias::summary::{
     FuncFacts, FunctionSummary, MemOpPruning, SolverSummaries, StableAssum, StableCtx,
-    SteensConstraint, Vocab,
+    SteensConstraint,
 };
+use alias::SolverKind;
 use proto::json::Value;
 use proto::{bytes_hex, fp_hex, parse_bytes_hex, parse_fp_hex};
 use std::collections::HashMap;
@@ -529,11 +530,11 @@ fn encode_facts(f: &FuncFacts) -> Value {
     }
 }
 
-fn decode_facts(vocab: Vocab, v: &Value) -> Option<FuncFacts> {
+fn decode_facts(vocab: SolverKind, v: &Value) -> Option<FuncFacts> {
     Some(match vocab {
-        Vocab::Ci => FuncFacts::Ci(decode_pair_rows(v)?),
-        Vocab::Weihl => FuncFacts::Weihl(decode_pair_rows(v)?),
-        Vocab::K1 => FuncFacts::K1(
+        SolverKind::Ci => FuncFacts::Ci(decode_pair_rows(v)?),
+        SolverKind::Weihl => FuncFacts::Weihl(decode_pair_rows(v)?),
+        SolverKind::CallString1 => FuncFacts::K1(
             v.as_arr()?
                 .iter()
                 .map(|ctxs| {
@@ -554,7 +555,7 @@ fn decode_facts(vocab: Vocab, v: &Value) -> Option<FuncFacts> {
                 })
                 .collect::<Option<Vec<_>>>()?,
         ),
-        Vocab::Cs => FuncFacts::Cs {
+        SolverKind::Cs => FuncFacts::Cs {
             outputs: v
                 .get("outputs")?
                 .as_arr()?
@@ -599,7 +600,7 @@ fn decode_facts(vocab: Vocab, v: &Value) -> Option<FuncFacts> {
                 })
                 .collect::<Option<Vec<_>>>()?,
         },
-        Vocab::Steens => FuncFacts::Steens(
+        SolverKind::Steensgaard => FuncFacts::Steens(
             v.as_arr()?
                 .iter()
                 .map(decode_atom)
@@ -629,7 +630,7 @@ fn encode_func(s: &FunctionSummary) -> Value {
     ])
 }
 
-fn decode_func(vocab: Vocab, v: &Value) -> Option<FunctionSummary> {
+fn decode_func(vocab: SolverKind, v: &Value) -> Option<FunctionSummary> {
     let calls = v
         .get("calls")?
         .as_arr()?
@@ -683,7 +684,7 @@ fn decode_payload(v: &Value) -> Option<SolverSummaries> {
     if v.get("v")?.as_i64()? != SUMMARY_PAYLOAD_VERSION {
         return None;
     }
-    let vocab = Vocab::by_name(v.get("vocab")?.as_str()?)?;
+    let vocab = SolverKind::by_name(v.get("vocab")?.as_str()?)?;
     let mut out = SolverSummaries::new(vocab);
     for (name, f) in v.get("funcs")?.as_obj()? {
         out.funcs.insert(name.clone(), decode_func(vocab, f)?);
@@ -851,11 +852,11 @@ mod tests {
             facts,
         };
         let mut all = HashMap::default();
-        for vocab in [Vocab::Ci, Vocab::Weihl, Vocab::K1, Vocab::Cs, Vocab::Steens] {
+        for vocab in SolverKind::ALL {
             let facts = match vocab {
-                Vocab::Ci => FuncFacts::Ci(vec![vec![pair("g:gp", "l:main:x")], vec![]]),
-                Vocab::Weihl => FuncFacts::Weihl(vec![vec![], vec![pair("g:a", "g:b")]]),
-                Vocab::K1 => FuncFacts::K1(vec![vec![
+                SolverKind::Ci => FuncFacts::Ci(vec![vec![pair("g:gp", "l:main:x")], vec![]]),
+                SolverKind::Weihl => FuncFacts::Weihl(vec![vec![], vec![pair("g:a", "g:b")]]),
+                SolverKind::CallString1 => FuncFacts::K1(vec![vec![
                     (StableCtx::Root, vec![pair("g:gp", "g:g1")]),
                     (
                         StableCtx::Call {
@@ -865,7 +866,7 @@ mod tests {
                         vec![],
                     ),
                 ]]),
-                Vocab::Cs => FuncFacts::Cs {
+                SolverKind::Cs => FuncFacts::Cs {
                     outputs: vec![vec![(
                         pair("g:gp", "g:g1"),
                         vec![
@@ -885,7 +886,7 @@ mod tests {
                         }],
                     }],
                 },
-                Vocab::Steens => FuncFacts::Steens(vec![
+                SolverKind::Steensgaard => FuncFacts::Steens(vec![
                     SteensConstraint::Base {
                         out: 0,
                         base: "g:g1".into(),
@@ -907,7 +908,7 @@ mod tests {
             };
             let mut s = SolverSummaries::new(vocab);
             s.funcs.insert("main".to_string(), func(facts));
-            if vocab == Vocab::Weihl {
+            if vocab == SolverKind::Weihl {
                 s.store = vec![pair("g:store", "g:g2")];
             }
             all.insert(vocab.name().to_string(), Arc::new(s));

@@ -5,7 +5,7 @@
 //! cargo test -p suite --release --test probe -- --ignored --nocapture
 //! ```
 
-use alias::SolverSpec;
+use alias::{CsResult, SolverSpec};
 use vdg::build::{lower, BuildOptions};
 
 #[test]
@@ -20,7 +20,7 @@ fn probe_all() {
         let t1 = std::time::Instant::now();
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
-            .map(|s| s.into_cs().expect("cs result"));
+            .map(|s| s.downcast::<CsResult>().expect("cs result"));
         let cs_t = t1.elapsed();
         match cs {
             Ok(cs) => {

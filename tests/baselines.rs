@@ -14,8 +14,11 @@
 //! Every solver is constructed through [`alias::SolverSpec`]; the
 //! free `analyze_*` entry points stay internal to `crates/alias`.
 
+use alias::callstring::CallStringResult;
+use alias::solver::SteensSolution;
 use alias::steensgaard::{ci_referent_bases, ci_within_steensgaard};
 use alias::weihl::ci_subset_of_weihl;
+use alias::weihl::WeihlResult;
 use alias::{HeapNaming, Pair, SolverSpec};
 use std::collections::HashSet;
 use vdg::build::{lower, BuildOptions};
@@ -34,7 +37,7 @@ fn ci_within_weihl_on_suite() {
         let w = SolverSpec::weihl()
             .solve(&graph, Some(&ci))
             .expect("no budget")
-            .into_weihl()
+            .downcast::<WeihlResult>()
             .expect("weihl result");
         assert!(
             ci_subset_of_weihl(&graph, &ci, &w),
@@ -53,8 +56,9 @@ fn ci_within_steensgaard_on_suite() {
         let mut st = SolverSpec::steensgaard()
             .solve(&graph, None)
             .expect("no budget")
-            .into_steens()
-            .expect("steensgaard result");
+            .downcast::<SteensSolution>()
+            .expect("steensgaard result")
+            .into_inner();
         assert!(
             ci_within_steensgaard(&graph, &ci, &mut st),
             "{}: CI escaped the unification solution",
@@ -73,7 +77,7 @@ fn k1_within_ci_and_headline_holds_for_k1_too() {
         let k1 = SolverSpec::k1()
             .solve(&graph, Some(&ci))
             .unwrap_or_else(|e| panic!("{}: {e}", b.name))
-            .into_k1()
+            .downcast::<CallStringResult>()
             .expect("k1 result");
         for o in graph.output_ids() {
             let ci_set: HashSet<Pair> = ci.pairs(o).iter().copied().collect();
@@ -102,8 +106,9 @@ fn steensgaard_is_coarser_or_equal_at_every_op() {
         let mut st = SolverSpec::steensgaard()
             .solve(&graph, None)
             .expect("no budget")
-            .into_steens()
-            .expect("steensgaard result");
+            .downcast::<SteensSolution>()
+            .expect("steensgaard result")
+            .into_inner();
         for (node, _) in graph.all_mem_ops() {
             let fine = ci_referent_bases(&ci, &graph, node);
             let coarse = st.loc_bases(&graph, node);
@@ -133,14 +138,14 @@ fn baselines_are_runtime_sound() {
         let w = SolverSpec::weihl()
             .solve(&graph, None)
             .expect("no budget")
-            .into_weihl()
+            .downcast::<WeihlResult>()
             .expect("weihl result");
         let v = interp::check_solution(&prog, &graph, &w, &out.trace);
         assert!(v.is_empty(), "{}: Weihl unsound: {v:#?}", b.name);
         let k1 = SolverSpec::k1()
             .solve(&graph, None)
             .unwrap()
-            .into_k1()
+            .downcast::<CallStringResult>()
             .expect("k1 result");
         let v = interp::check_solution(&prog, &graph, &k1, &out.trace);
         assert!(v.is_empty(), "{}: k=1 unsound: {v:#?}", b.name);
@@ -167,8 +172,9 @@ fn steensgaard_is_runtime_sound_at_base_granularity() {
         let mut st = SolverSpec::steensgaard()
             .solve(&graph, None)
             .expect("no budget")
-            .into_steens()
-            .expect("steensgaard result");
+            .downcast::<SteensSolution>()
+            .expect("steensgaard result")
+            .into_inner();
         assert!(ci_within_steensgaard(&graph, &ci, &mut st), "{}", b.name);
         let v = interp::check_solution(&prog, &graph, &ci, &out.trace);
         assert!(v.is_empty(), "{}", b.name);

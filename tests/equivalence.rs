@@ -10,7 +10,7 @@
 //! solvers without a discipline knob (Steensgaard's unification and the
 //! assumption-set CS) ride along to pin down run-to-run determinism.
 
-use alias::solver::{all_solvers, all_solvers_naive};
+use alias::{SolverKind, SolverSpec};
 use vdg::build::{lower, BuildOptions};
 
 #[test]
@@ -18,8 +18,8 @@ fn naive_and_delta_disciplines_reach_the_same_fixpoint() {
     for b in suite::benchmarks() {
         let prog = cfront::compile(b.source).unwrap();
         let graph = lower(&prog, &BuildOptions::default()).unwrap();
-        let delta = all_solvers();
-        let naive = all_solvers_naive();
+        let delta = SolverSpec::all();
+        let naive = SolverSpec::all_naive();
         assert_eq!(delta.len(), naive.len());
         for (d, n) in delta.iter().zip(&naive) {
             assert_eq!(d.name(), n.name(), "solver lists must stay aligned");
@@ -65,7 +65,10 @@ fn naive_and_delta_disciplines_reach_the_same_fixpoint() {
             }
             // The delta discipline must actually be the delta discipline
             // (and the naive one must not fake the batching counter).
-            if d.name() == "ci" || d.name() == "weihl" || d.name() == "k1" {
+            if matches!(
+                d.kind(),
+                SolverKind::Ci | SolverKind::Weihl | SolverKind::CallString1
+            ) {
                 assert!(
                     sd.delta_batches().is_some(),
                     "{}: {} delta run reports no batches",
@@ -92,7 +95,7 @@ fn scaling_programs_agree_across_disciplines() {
     for p in [suite::scaling::chain(16, 7), suite::scaling::diamond(4, 7)] {
         let prog = cfront::compile(&p.source).unwrap();
         let graph = lower(&prog, &BuildOptions::default()).unwrap();
-        for (d, n) in all_solvers().iter().zip(&all_solvers_naive()) {
+        for (d, n) in SolverSpec::all().iter().zip(&SolverSpec::all_naive()) {
             let sd = d.solve(&graph, None).unwrap();
             let sn = n.solve(&graph, None).unwrap();
             assert_eq!(

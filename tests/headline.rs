@@ -5,7 +5,7 @@
 //! points-to pairs — all of them on store-valued outputs.
 
 use alias::stats::{compare_at_indirect_refs, indirect_ref_rows, spurious_by_kind, spurious_row};
-use alias::SolverSpec;
+use alias::{CsResult, SolverSpec};
 use vdg::build::{lower, BuildOptions};
 
 fn pipeline(src: &str) -> (vdg::Graph, alias::CiResult, alias::CsResult) {
@@ -15,7 +15,7 @@ fn pipeline(src: &str) -> (vdg::Graph, alias::CiResult, alias::CsResult) {
     let cs = SolverSpec::cs()
         .solve(&graph, Some(&ci))
         .expect("budget")
-        .into_cs()
+        .downcast::<CsResult>()
         .expect("cs result");
     (graph, ci, cs)
 }

@@ -1,7 +1,7 @@
 //! End-to-end pipeline integration: every suite benchmark must flow
 //! through frontend → VDG → CI → CS with structurally sane results.
 
-use alias::{cs_subset_of_ci, SolverSpec};
+use alias::{cs_subset_of_ci, CsResult, SolverSpec};
 use vdg::build::{lower, BuildOptions};
 use vdg::stats::size_stats;
 
@@ -30,7 +30,7 @@ fn all_benchmarks_flow_through_the_pipeline() {
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .unwrap_or_else(|e| panic!("{}: CS blew the budget: {e}", b.name))
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         assert!(
             cs_subset_of_ci(&graph, &ci, &cs),

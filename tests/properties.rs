@@ -5,7 +5,10 @@
 //! "shrinking" story is simply: the failing seed is printed and the
 //! whole program is reproducible from it).
 
-use alias::{cs_subset_of_ci, SolverSpec, WorklistOrder};
+use alias::callstring::CallStringResult;
+use alias::solver::SteensSolution;
+use alias::weihl::WeihlResult;
+use alias::{cs_subset_of_ci, CsResult, SolverSpec, WorklistOrder};
 use suite::generator::{generate, GenConfig};
 use vdg::build::{lower, BuildOptions};
 
@@ -32,7 +35,7 @@ fn cs_subset_of_ci_on_random_programs() {
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .expect("budget")
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         assert!(cs_subset_of_ci(&graph, &ci, &cs), "seed {seed}");
     }
@@ -94,13 +97,13 @@ fn subsumption_preserves_results() {
         let optimized = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .expect("budget")
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         let no_subsume = SolverSpec::cs()
             .subsumption(false)
             .max_steps(30_000_000)
             .solve(&graph, Some(&ci))
-            .map(|s| s.into_cs().expect("cs result"));
+            .map(|s| s.downcast::<CsResult>().expect("cs result"));
         // Without subsumption the algorithm may legitimately blow its
         // budget; when it finishes, the answers must agree.
         if let Ok(no_subsume) = no_subsume {
@@ -123,13 +126,13 @@ fn ci_pruning_is_sandwiched() {
         let pruned = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .expect("budget")
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         let maximal = SolverSpec::cs()
             .ci_pruning(false)
             .max_steps(30_000_000)
             .solve(&graph, Some(&ci))
-            .map(|s| s.into_cs().expect("cs result"));
+            .map(|s| s.downcast::<CsResult>().expect("cs result"));
         assert!(cs_subset_of_ci(&graph, &ci, &pruned), "seed {seed}");
         if let Ok(maximal) = maximal {
             for o in graph.output_ids() {
@@ -158,7 +161,7 @@ fn runtime_soundness() {
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .expect("budget")
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         let v = interp::check_solution(&prog, &graph, &cs, &out.trace);
         assert!(v.is_empty(), "seed {seed}: CS violations: {v:#?}");
@@ -175,7 +178,7 @@ fn baseline_spectrum_on_random_programs() {
         let w = SolverSpec::weihl()
             .solve(&graph, Some(&ci))
             .expect("no budget")
-            .into_weihl()
+            .downcast::<WeihlResult>()
             .expect("weihl result");
         assert!(
             alias::weihl::ci_subset_of_weihl(&graph, &ci, &w),
@@ -184,8 +187,9 @@ fn baseline_spectrum_on_random_programs() {
         let mut st = SolverSpec::steensgaard()
             .solve(&graph, None)
             .expect("no budget")
-            .into_steens()
-            .expect("steensgaard result");
+            .downcast::<SteensSolution>()
+            .expect("steensgaard result")
+            .into_inner();
         assert!(
             alias::steensgaard::ci_within_steensgaard(&graph, &ci, &mut st),
             "seed {seed}"
@@ -193,7 +197,7 @@ fn baseline_spectrum_on_random_programs() {
         let k1 = SolverSpec::k1()
             .solve(&graph, Some(&ci))
             .expect("budget")
-            .into_k1()
+            .downcast::<CallStringResult>()
             .expect("k1 result");
         for o in graph.output_ids() {
             let ci_set: std::collections::HashSet<_> = ci.pairs(o).iter().collect();
@@ -214,14 +218,14 @@ fn baselines_runtime_sound_on_random_programs() {
         let w = SolverSpec::weihl()
             .solve(&graph, None)
             .expect("no budget")
-            .into_weihl()
+            .downcast::<WeihlResult>()
             .expect("weihl result");
         let v = interp::check_solution(&prog, &graph, &w, &out.trace);
         assert!(v.is_empty(), "seed {seed}: Weihl violations: {v:#?}");
         let k1 = SolverSpec::k1()
             .solve(&graph, None)
             .expect("budget")
-            .into_k1()
+            .downcast::<CallStringResult>()
             .expect("k1 result");
         let v = interp::check_solution(&prog, &graph, &k1, &out.trace);
         assert!(v.is_empty(), "seed {seed}: k=1 violations: {v:#?}");
@@ -258,7 +262,7 @@ fn big_programs_stay_within_budget() {
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .expect("budget")
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         assert!(cs_subset_of_ci(&graph, &ci, &cs), "seed {seed}");
     }

@@ -12,6 +12,8 @@
 //! 3. **Concurrency** (satellite 4): N interleaved socket clients get
 //!    exactly the answers a serial in-process caller gets.
 
+use alias::summary::FuncFacts;
+use alias::SolverKind;
 use proto::{JobSpec, QueryAnswer, QueryKind, Request, Response};
 use serve::store::LoadOutcome;
 use serve::{Service, ServiceOptions, Store};
@@ -312,6 +314,90 @@ fn garbage_store_file_cold_starts() {
     assert_cold_start_fallback("garbage", |file| {
         std::fs::write(file, "not a store file at all\n").unwrap();
     });
+}
+
+/// A `ruf95-store v2` file written by an earlier build: every solver's
+/// summaries (all five vocabularies) and solution fingerprint for
+/// `tests/fixtures/weakened_strong_update.c`.
+const GOLDEN_V2: &str = include_str!("fixtures/store_v2_golden.json");
+
+/// On-disk compatibility: the golden file loads, every payload decodes
+/// to the vocabulary its key names, and re-saving — raw or decoded —
+/// reproduces the file byte for byte.
+#[test]
+fn golden_v2_store_decodes_and_resaves_byte_identically() {
+    let dir = temp_dir("golden-v2");
+    let store = Store::open(&dir).unwrap();
+    std::fs::write(store.path_of("golden"), GOLDEN_V2).unwrap();
+    let LoadOutcome::Loaded(mut project) = store.load("golden") else {
+        panic!("the golden v2 store must load");
+    };
+    store.save("golden", &project).unwrap();
+    let raw = std::fs::read_to_string(store.path_of("golden")).unwrap();
+    assert!(raw == GOLDEN_V2, "raw re-save moved bytes");
+
+    let [bench] = &mut project.benches[..] else {
+        panic!("one bench expected");
+    };
+    let decoded = bench.summaries.decoded();
+    let mut names: Vec<&str> = decoded.keys().map(String::as_str).collect();
+    names.sort_unstable();
+    assert_eq!(names, ["ci", "cs", "k1", "steensgaard", "weihl"]);
+    for (name, s) in decoded {
+        assert_eq!(Some(s.vocab), SolverKind::by_name(name), "{name}");
+        assert!(!s.funcs.is_empty(), "{name}: no functions decoded");
+        for f in s.funcs.values() {
+            let matches = match s.vocab {
+                SolverKind::Ci => matches!(f.facts, FuncFacts::Ci(_)),
+                SolverKind::Weihl => matches!(f.facts, FuncFacts::Weihl(_)),
+                SolverKind::CallString1 => matches!(f.facts, FuncFacts::K1(_)),
+                SolverKind::Cs => matches!(f.facts, FuncFacts::Cs { .. }),
+                SolverKind::Steensgaard => matches!(f.facts, FuncFacts::Steens(_)),
+            };
+            assert!(matches, "{name}: facts of the wrong vocabulary");
+        }
+    }
+    assert!(!decoded["weihl"].store.is_empty(), "weihl store relation");
+    store.save("golden", &project).unwrap();
+    let resaved = std::fs::read_to_string(store.path_of("golden")).unwrap();
+    assert!(resaved == GOLDEN_V2, "decoded re-save moved bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A service restored from the golden store reproduces the solution
+/// fingerprints it recorded: the spec key still matches, so the stored
+/// summaries seed the run, and the answers are unchanged.
+#[test]
+fn golden_v2_store_restores_to_the_recorded_fingerprints() {
+    let dir = temp_dir("golden-v2-restore");
+    let store = Store::open(&dir).unwrap();
+    std::fs::write(store.path_of("golden"), GOLDEN_V2).unwrap();
+    let LoadOutcome::Loaded(project) = store.load("golden") else {
+        panic!("the golden v2 store must load");
+    };
+    let bench = &project.benches[0];
+    let recorded: Vec<(String, String, Option<String>)> = bench
+        .solution_fps
+        .iter()
+        .map(|(a, fp)| (bench.name.clone(), a.clone(), fp.map(proto::fp_hex)))
+        .collect();
+    let jobs = vec![JobSpec {
+        name: bench.name.clone(),
+        source: include_str!("fixtures/weakened_strong_update.c").to_string(),
+        input: Vec::new(),
+    }];
+    assert_eq!(jobs[0].source, bench.source);
+    let resp = analyze(&mut service(&dir), "golden", &jobs);
+    assert_eq!(fingerprints_of(&resp), recorded);
+    let Response::Analyzed { benches, serve, .. } = &resp else {
+        panic!("expected Analyzed, got {resp:?}");
+    };
+    assert!(serve.restored);
+    for s in &benches[0].solvers {
+        let mode = s.mode.as_deref().unwrap_or_default();
+        assert!(!mode.starts_with("fresh"), "{}: {mode}", s.analysis);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Stale stored summaries must never leak into answers for changed

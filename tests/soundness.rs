@@ -4,7 +4,7 @@
 //! schemes. (The paper argues soundness informally; here it is checked
 //! against real executions.)
 
-use alias::SolverSpec;
+use alias::{CsResult, SolverSpec};
 use interp::{check_solution, run, Config};
 use vdg::build::{lower, BuildOptions};
 use vdg::RecLocalScheme;
@@ -36,7 +36,7 @@ fn check_benchmark(name: &str, scheme: RecLocalScheme) {
     let cs = SolverSpec::cs()
         .solve(&graph, Some(&ci))
         .unwrap()
-        .into_cs()
+        .downcast::<CsResult>()
         .expect("cs result");
     let v = check_solution(&prog, &graph, &cs, &out.trace);
     assert!(v.is_empty(), "{name}: CS unsound ({scheme:?}): {v:#?}");
@@ -109,7 +109,7 @@ fn recursive_downward_escape_is_sound_under_both_schemes() {
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .unwrap()
-            .into_cs()
+            .downcast::<CsResult>()
             .expect("cs result");
         let v = check_solution(&prog, &graph, &cs, &out.trace);
         assert!(v.is_empty(), "{scheme:?} CS: {v:#?}");
