@@ -27,11 +27,11 @@
 //! Such unsatisfiably-qualified pairs survive stripping inside the
 //! procedure even though they are filtered at every return.
 
-use crate::fingerprint::GraphIndex;
+use crate::fingerprint::{intern_pairs, GraphIndex};
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::solver::SolverKind;
+use crate::resume::{plan_base, ConeVocab};
 use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, StableCtx};
 use std::collections::VecDeque;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
@@ -175,29 +175,7 @@ pub fn analyze_callstring_from(
     paths: PathTable,
     config: &CallStringConfig,
 ) -> Result<CallStringResult, crate::cs::StepLimitExceeded> {
-    let mut s = K1 {
-        g: graph,
-        cfg: config.clone(),
-        paths,
-        interner: PairInterner::new(),
-        p: vec![CtxSlots::default(); graph.output_count()],
-        naive_wl: VecDeque::new(),
-        out_wl: VecDeque::new(),
-        queued: HashSet::default(),
-        em: Vec::new(),
-        scratch_a: Vec::new(),
-        scratch_b: Vec::new(),
-        scratch_c: Vec::new(),
-        owner: crate::modref::node_owner_map(graph),
-        active: HashMap::default(),
-        call_ctxs: HashMap::default(),
-        callees: HashMap::default(),
-        callers: HashMap::default(),
-        flow_ins: 0,
-        flow_outs: 0,
-        dedup_hits: 0,
-        delta_batches: 0,
-    };
+    let mut s = K1::new(graph, paths, config);
     // Analyze every procedure, not only those reachable from `<root>`:
     // an uncalled procedure is analyzed under the root context (with ⊥
     // formals), matching the other four solvers' whole-graph behavior.
@@ -243,6 +221,33 @@ struct K1<'g> {
 }
 
 impl<'g> K1<'g> {
+    /// An idle solver over `graph` starting from `paths`.
+    fn new(graph: &'g Graph, paths: PathTable, config: &CallStringConfig) -> Self {
+        K1 {
+            g: graph,
+            cfg: config.clone(),
+            paths,
+            interner: PairInterner::new(),
+            p: vec![CtxSlots::default(); graph.output_count()],
+            naive_wl: VecDeque::new(),
+            out_wl: VecDeque::new(),
+            queued: HashSet::default(),
+            em: Vec::new(),
+            scratch_a: Vec::new(),
+            scratch_b: Vec::new(),
+            scratch_c: Vec::new(),
+            owner: crate::modref::node_owner_map(graph),
+            active: HashMap::default(),
+            call_ctxs: HashMap::default(),
+            callees: HashMap::default(),
+            callers: HashMap::default(),
+            flow_ins: 0,
+            flow_outs: 0,
+            dedup_hits: 0,
+            delta_batches: 0,
+        }
+    }
+
     /// First entry of `f` under `ctx`: seed its constant nodes there and
     /// mark every call site it owns as reachable under `ctx` (so callee
     /// returns flow back even when no actual ever carries a pair — e.g.
@@ -766,7 +771,8 @@ pub(crate) fn extract_func(
 /// context's committed pairs over next-graph ids.
 type K1Row = Vec<(Ctx, Vec<Pair>)>;
 
-/// Seeded resume of the k=1 call-string analysis.
+/// Seeded resume of the k=1 call-string analysis, through the shared
+/// resume skeleton (`crate::resume`).
 ///
 /// The per-context partition adds one wrinkle to the subset-seeding
 /// argument: a context is an *activation*, created outside the output
@@ -784,33 +790,27 @@ type K1Row = Vec<(Ctx, Vec<Pair>)>;
 /// every function under the root context, plus each seeded call edge's
 /// callee under that call's context); `activate` then performs the
 /// return-boundary deliveries itself via `pull_returns` against the
-/// already-committed seeds.
+/// already-committed seeds, so the shared boundary skips its returns
+/// rule.
 ///
-/// `None` when the plan is rejected; `Some(Err(_))` when the re-solve
-/// exhausts the step budget.
+/// `Err` when the re-solve exhausts the step budget.
 pub(crate) fn analyze_callstring_resume(
     graph: &Graph,
     index: &GraphIndex,
     prev: &SolverSummaries,
     paths: PathTable,
     config: &CallStringConfig,
-) -> Option<Result<(CallStringResult, ResumeStats), crate::cs::StepLimitExceeded>> {
-    use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != SolverKind::CallString1 {
-        return None;
-    }
+) -> Result<(CallStringResult, ResumeStats), crate::cs::StepLimitExceeded> {
     let mut paths = paths;
-    let base = plan_base(graph, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::K1(outputs) = &summary.facts else {
-            return None;
-        };
-        if outputs.len() != want {
-            return None;
-        }
-        let mut rows: Vec<K1Row> = Vec::with_capacity(want);
-        for row in outputs {
+    let plan = plan_base(
+        graph,
+        index,
+        prev,
+        |facts| match facts {
+            FuncFacts::K1(outputs) => Some(outputs.as_slice()),
+            _ => None,
+        },
+        |_, row| {
             let mut r: K1Row = Vec::new();
             for (sc, pairs) in row {
                 let ctx = match sc {
@@ -828,159 +828,38 @@ pub(crate) fn analyze_callstring_resume(
                         Ctx::of_call(NodeId(index.node_start[oi] + offset))
                     }
                 };
-                let mut ps = Vec::with_capacity(pairs.len());
-                for p in pairs {
-                    let a = intern_stable(graph, index, &mut paths, &p.path)?;
-                    let b = intern_stable(graph, index, &mut paths, &p.referent)?;
-                    ps.push(Pair::new(a, b));
-                }
-                r.push((ctx, ps));
+                r.push((ctx, intern_pairs(graph, index, &mut paths, pairs)?));
             }
-            rows.push(r);
-        }
-        Some(rows)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
-    let in_cone = compute_cone_for(
-        graph,
-        index,
-        &dirty,
-        &prev_edges,
-        &lost_callees,
-        ConeVocab::K1,
-        &[],
-    );
+            Some(r)
+        },
+    )
+    .cone(graph, index, ConeVocab::K1, &[]);
 
-    let mut s = K1 {
-        g: graph,
-        cfg: config.clone(),
-        paths,
-        interner: PairInterner::new(),
-        p: vec![CtxSlots::default(); graph.output_count()],
-        naive_wl: VecDeque::new(),
-        out_wl: VecDeque::new(),
-        queued: HashSet::default(),
-        em: Vec::new(),
-        scratch_a: Vec::new(),
-        scratch_b: Vec::new(),
-        scratch_c: Vec::new(),
-        owner: crate::modref::node_owner_map(graph),
-        active: HashMap::default(),
-        call_ctxs: HashMap::default(),
-        callees: HashMap::default(),
-        callers: HashMap::default(),
-        flow_ins: 0,
-        flow_outs: 0,
-        dedup_hits: 0,
-        delta_batches: 0,
-    };
-
-    // 1. Install out-of-cone per-context rows as silent seeds.
-    let mut seeded_outputs = 0;
-    for (&f, rows) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, row) in rows.iter().enumerate() {
-            let o = (os + i as u32) as usize;
-            if in_cone[o] {
-                continue;
-            }
-            for (ctx, pairs) in row {
-                for &pair in pairs {
-                    let id = s.interner.intern(pair);
-                    s.p[o].slot(*ctx).insert(id);
-                }
-                let slot = s.p[o].slot(*ctx);
-                let batch = slot.take_delta();
-                slot.recycle(batch);
-            }
-            seeded_outputs += 1;
+    let mut s = K1::new(graph, paths, config);
+    for (o, row) in plan.seeds() {
+        for (ctx, pairs) in row {
+            s.p[o].slot(*ctx).install(&mut s.interner, pairs);
         }
     }
+    plan.install_edges(&mut s.callees, &mut s.callers);
 
-    // 2. Install call edges whose function input is out-of-cone.
-    let mut call_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for (n, fs) in &prev_edges {
-        if !in_cone[graph.input_src(*n, 0).0 as usize] {
-            call_edges.insert(*n, fs.clone());
-        }
-    }
-    for (&call, fs) in &call_edges {
-        for &f in fs {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Replay the activations (constants dedup against the seeds;
-    //    `pull_returns` inside `activate` performs the return-boundary
-    //    deliveries against the committed seeds).
+    // Replay the activations: constants dedup against the seeds, and
+    // `pull_returns` inside `activate` performs the return-boundary
+    // deliveries against the committed seeds.
     s.activate(graph.root(), Ctx::ROOT);
     for f in graph.func_ids() {
         s.activate(f, Ctx::ROOT);
     }
-    for (&call, fs) in &call_edges {
+    for (&call, fs) in &plan.call_edges {
         for &f in fs {
             s.activate(f, Ctx::of_call(call));
         }
     }
-
-    // 4. Remaining boundary deliveries, mirroring the CI recipe.
-    for (id, n) in graph.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| in_cone[o.0 as usize]) {
-            continue;
-        }
-        for port in 0..n.inputs.len() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = graph.input_src(id, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(id, port, src);
-            }
-        }
-    }
-    for (&call, fs) in &call_edges {
-        let needed = fs.iter().any(|&f| {
-            graph
-                .node(graph.func(f).entry)
-                .outputs
-                .iter()
-                .any(|&o| in_cone[o.0 as usize])
-        });
-        if !needed {
-            continue;
-        }
-        for port in 1..graph.node(call).inputs.len() {
-            let src = graph.input_src(call, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(call, port, src);
-            }
-        }
-    }
-
-    // 5. Solve the cone.
-    if let Err(e) = s.run() {
-        return Some(Err(e));
-    }
-    let mut dirty_names: Vec<String> = dirty.iter().map(|f| graph.func(*f).name.clone()).collect();
-    dirty_names.sort_unstable();
-    let stats = ResumeStats {
-        clean: graph.func_count() - dirty.len(),
-        dirty: dirty_names,
-        cone_outputs: in_cone.iter().filter(|&&b| b).count(),
-        seeded_outputs,
-        total_outputs: graph.output_count(),
-    };
-    Some(Ok((s.finish(), stats)))
+    plan.deliver_boundary(graph, false, |node, port, src| {
+        s.deliver_committed(node, port, src)
+    });
+    s.run()?;
+    Ok((s.finish(), plan.stats))
 }
 
 #[cfg(test)]

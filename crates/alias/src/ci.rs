@@ -21,9 +21,12 @@
 //! location pairs arrive) falls out of the arrival-driven transfer
 //! functions.
 
+use crate::fingerprint::{intern_pairs, GraphIndex};
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
+use crate::resume::{plan_base, ConeVocab};
+use crate::summary::{FuncFacts, ResumeStats, SolverSummaries};
 use std::collections::VecDeque;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
@@ -156,142 +159,54 @@ pub fn analyze_ci(graph: &Graph, config: &CiConfig) -> CiResult {
     s.finish()
 }
 
-/// Resumes the context-insensitive analysis from a
-/// [`CiResumePlan`](crate::fingerprint::CiResumePlan): outputs outside
-/// the edit's dirty cone are installed with their (provably final)
-/// committed sets from the previous run, and only the cone is
-/// re-solved. Because the transfer system is monotone in the committed
-/// sets and the plan seeds a subset of the least fixpoint, the result
-/// is numerically identical to [`analyze_ci`] on the same graph — same
-/// canonical path ids, same sorted pair sets, same call graph. Flow
-/// counters (`flow_ins`/`flow_outs`/…) reflect only the resumed
-/// portion of the work and are *not* comparable to a fresh run's.
+/// Seeded resume of the context-insensitive analysis through the
+/// shared resume skeleton (`crate::resume`): outputs outside the edit's
+/// dirty cone are installed with their (provably final) committed sets
+/// from `prev`, and only the cone is re-solved. Because the transfer
+/// system is monotone in the committed sets and the plan seeds a subset
+/// of the least fixpoint, the result is numerically identical to
+/// [`analyze_ci`] on the same graph — same canonical path ids, same
+/// sorted pair sets, same call graph. Flow counters
+/// (`flow_ins`/`flow_outs`/…) reflect only the resumed portion of the
+/// work and are *not* comparable to a fresh run's.
 ///
-/// The caller must not use [`HeapNaming::CallString1`] or Cooper-style
-/// instance naming with a seeded plan; the planner refuses to build
-/// one for such graphs (see `GraphIndex::unsafe_reason`).
-pub fn analyze_ci_resume(
+/// `SolverSpec::resume` gates what would make the plan unsound before
+/// calling this: call-string heap naming, fault injection, unstable
+/// naming, summaries in another vocabulary.
+pub(crate) fn analyze_ci_resume(
     graph: &Graph,
+    index: &GraphIndex,
+    prev: &SolverSummaries,
     config: &CiConfig,
-    plan: crate::fingerprint::CiResumePlan,
-) -> CiResult {
-    let crate::fingerprint::CiResumePlan {
-        paths,
-        seeds,
-        call_edges,
-        ..
-    } = plan;
+) -> (CiResult, ResumeStats) {
+    let mut paths = PathTable::for_graph(graph);
+    let plan = plan_base(
+        graph,
+        index,
+        prev,
+        |facts| match facts {
+            FuncFacts::Ci(rows) => Some(rows.as_slice()),
+            _ => None,
+        },
+        |_, row| intern_pairs(graph, index, &mut paths, row),
+    )
+    .cone(graph, index, ConeVocab::Ci, &[]);
     let mut s = Solver::new(graph, config.clone());
     s.paths = paths;
-    let in_cone: Vec<bool> = seeds.iter().map(|p| p.is_none()).collect();
-
-    // 1. Install seeds as committed facts — no deltas, no queueing.
-    //    These sets are final; re-delivering them wholesale would redo
-    //    the work the cache exists to skip.
-    for (o, pairs) in seeds.iter().enumerate() {
-        let Some(pairs) = pairs else { continue };
-        for &p in pairs {
-            let id = s.interner.intern(p);
-            s.sets[o].insert(id);
-        }
-        let d = s.sets[o].take_delta();
-        s.sets[o].recycle(d);
+    // Seeds are installed as committed facts — no deltas, no queueing:
+    // re-delivering them wholesale would redo the work the cache exists
+    // to skip. Constant seeds on out-of-cone outputs then dedup
+    // silently, and the boundary hands each final set to the cone once.
+    for (o, pairs) in plan.seeds() {
+        s.sets[o].install(&mut s.interner, pairs);
     }
-
-    // 2. Install call edges whose callee sets are provably final (the
-    //    call's function input is outside the cone). `register_callee`
-    //    treats them as already known, skipping the push/pull replay.
-    for (&call, callees) in &call_edges {
-        for &f in callees {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Constant seeds. On out-of-cone outputs the `(ε, base)` pair is
-    //    already committed and dedups silently.
+    plan.install_edges(&mut s.callees, &mut s.callers);
     s.seed();
-
-    // 4. Boundary deliveries: an out-of-cone output's committed set was
-    //    installed silently, so any consumer that can emit into the
-    //    cone must have it delivered by hand, exactly once, after every
-    //    seed is in place (so sibling-set reads in the Lookup/Update/
-    //    CopyMem transfers see complete out-of-cone sets).
-    //
-    //    Plain nodes: deliver out-of-cone inputs of any node with an
-    //    in-cone output. Calls and returns route emissions across
-    //    function boundaries and are handled by the rules below; Primop
-    //    emits nothing; PassThrough only forwards port 0.
-    for (id, n) in graph.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| in_cone[o.0 as usize]) {
-            continue;
-        }
-        for (port, &inp) in n.inputs.iter().enumerate() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = graph.input(inp).src;
-            if !in_cone[src.0 as usize] {
-                deliver_committed(&mut s, id, port, src);
-            }
-        }
-    }
-    //    Seeded calls: if any callee entry output is in the cone, the
-    //    formals need the actuals from out-of-cone actual inputs.
-    //    (Calls whose function input is in-cone have no seeded edges;
-    //    `register_callee` pushes the committed actual sets when the
-    //    edge is re-discovered during the run.)
-    for (&call, callees) in &call_edges {
-        let needed = callees.iter().any(|&f| {
-            graph
-                .node(graph.func(f).entry)
-                .outputs
-                .iter()
-                .any(|&o| in_cone[o.0 as usize])
-        });
-        if !needed {
-            continue;
-        }
-        for port in 1..graph.node(call).inputs.len() {
-            let src = graph.input_src(call, port);
-            if !in_cone[src.0 as usize] {
-                deliver_committed(&mut s, call, port, src);
-            }
-        }
-    }
-    //    Returns: a seeded caller whose call outputs are in the cone
-    //    needs the callee's out-of-cone return inputs forwarded.
-    //    (Emissions to out-of-cone callers of the same function dedup.)
-    let mut ret_needed: crate::fxhash::HashSet<VFuncId> = crate::fxhash::HashSet::default();
-    for (&call, callees) in &call_edges {
-        if graph
-            .node(call)
-            .outputs
-            .iter()
-            .any(|&o| in_cone[o.0 as usize])
-        {
-            ret_needed.extend(callees.iter().copied());
-        }
-    }
-    for &f in &ret_needed {
-        for &ret in &graph.func(f).returns {
-            let n_inputs = graph.node(ret).inputs.len();
-            for port in 0..n_inputs {
-                let src = graph.input_src(ret, port);
-                if !in_cone[src.0 as usize] {
-                    deliver_committed(&mut s, ret, port, src);
-                }
-            }
-        }
-    }
-
-    // 5. Solve the cone to its fixpoint and canonicalize.
+    plan.deliver_boundary(graph, true, |node, port, src| {
+        deliver_committed(&mut s, node, port, src)
+    });
     s.run();
-    s.finish()
+    (s.finish(), plan.stats)
 }
 
 /// Delivers the full committed set of `src` to `(node, port)`.
@@ -1508,46 +1423,61 @@ mod tests {
         assert_eq!(r.flow_outs, r.total_pairs() as u64);
     }
 
-    /// Full incremental round trip at the solver level: analyze A,
-    /// memoize, fingerprint B against A, seed a resume, and require the
-    /// result to be *numerically* identical to a fresh solve of B.
+    /// Full incremental round trip through `SolverSpec::resume`, for
+    /// every solver: analyze A, summarize, fingerprint B against A,
+    /// resume, and require the dirty set `want_dirty` and a solution
+    /// dump identical to a fresh solve of B. The CI result must be
+    /// *numerically* identical: same canonical path ids, pair sets and
+    /// call graph.
     fn check_resume(src_a: &str, src_b: &str, want_dirty: &[&str]) {
-        use crate::fingerprint::{plan_ci_resume, GraphIndex};
+        use crate::fingerprint::GraphIndex;
+        use crate::solver::{solution_dump, summarize_serial, SolverSpec};
         let cfg = CiConfig::default();
         let pa = cfront::compile(src_a).expect("A compiles");
         let ga = lower(&pa, &BuildOptions::default()).expect("A lowers");
-        let ra = analyze_ci(&ga, &cfg);
         let ia = GraphIndex::build(&ga);
         assert_eq!(ia.unsafe_reason, None);
-        let prev = crate::solver::summarize_serial(&ga, &ia, &ra, None).expect("summaries");
-
+        let ci_a = analyze_ci(&ga, &cfg);
         let pb = cfront::compile(src_b).expect("B compiles");
         let gb = lower(&pb, &BuildOptions::default()).expect("B lowers");
         let ib = GraphIndex::build(&gb);
-        let plan = plan_ci_resume(&gb, &ib, &prev).expect("plan");
-        let dirty_names: Vec<&str> = plan
-            .dirty
-            .iter()
-            .map(|&f| gb.func(f).name.as_str())
-            .collect();
-        assert_eq!(dirty_names, want_dirty, "dirty set");
-        if !want_dirty.is_empty() {
-            assert!(plan.seeded_outputs > 0, "nothing was reused");
-        }
+        let ci_b = analyze_ci(&gb, &cfg);
 
-        let fresh = analyze_ci(&gb, &cfg);
-        let resumed = analyze_ci_resume(&gb, &cfg, plan);
-        for o in gb.output_ids() {
-            assert_eq!(fresh.pairs(o), resumed.pairs(o), "pairs at {o}");
-        }
-        assert_eq!(fresh.callees, resumed.callees, "call graph");
-        for o in gb.output_ids() {
-            for (a, b) in fresh.pairs(o).iter().zip(resumed.pairs(o)) {
-                assert_eq!(
-                    fresh.paths.display(a.referent, &gb),
-                    resumed.paths.display(b.referent, &gb),
-                    "rendering at {o}"
-                );
+        for spec in SolverSpec::all() {
+            let name = spec.name();
+            let sol_a = spec.solve(&ga, Some(&ci_a)).expect("A solves");
+            let prev = summarize_serial(&ga, &ia, &*sol_a, Some(&ci_a)).expect("summaries");
+            let out = spec
+                .resume(&gb, &ib, Some(&prev), Some(&ci_b))
+                .unwrap_or_else(|r| panic!("{name}: resume refused: {r}"));
+            assert_eq!(out.stats.dirty, want_dirty, "{name}: dirty set");
+            if !want_dirty.is_empty() {
+                assert!(out.stats.seeded_outputs > 0, "{name}: nothing was reused");
+            }
+            let fresh = spec.solve(&gb, Some(&ci_b)).expect("B solves");
+            assert_eq!(
+                solution_dump(&*fresh, &gb),
+                solution_dump(&*out.solution, &gb),
+                "{name}: resumed solution"
+            );
+            let (Some(fresh), Some(resumed)) = (
+                fresh.downcast_ref::<CiResult>(),
+                out.solution.downcast_ref::<CiResult>(),
+            ) else {
+                continue;
+            };
+            for o in gb.output_ids() {
+                assert_eq!(fresh.pairs(o), resumed.pairs(o), "pairs at {o}");
+            }
+            assert_eq!(fresh.callees, resumed.callees, "call graph");
+            for o in gb.output_ids() {
+                for (a, b) in fresh.pairs(o).iter().zip(resumed.pairs(o)) {
+                    assert_eq!(
+                        fresh.paths.display(a.referent, &gb),
+                        resumed.paths.display(b.referent, &gb),
+                        "rendering at {o}"
+                    );
+                }
             }
         }
     }
@@ -1600,6 +1530,38 @@ mod tests {
              int main(void) { void (*fp)(void); int c; c = getchar();\n\
                if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }";
         check_resume(a, b, &["f1"]);
+    }
+
+    #[test]
+    fn resume_after_editing_one_indirect_callee_keeps_the_others_returns() {
+        // The call's function input is clean, so its edge to {f1, f2}
+        // is seeded; f1's edit puts the call's result in the cone, and
+        // only the boundary's returns rule brings back clean f2's &g2.
+        let a = "int g1; int g2; int g3;\n\
+             int *f1(void) { return &g1; }\n\
+             int *f2(void) { return &g2; }\n\
+             int main(void) { int *(*fp)(void); int c; int *p; c = getchar();\n\
+               if (c) { fp = f1; } else { fp = f2; } p = fp(); *p = 1; return 0; }";
+        let b = "int g1; int g2; int g3;\n\
+             int *f1(void) { return &g3; }\n\
+             int *f2(void) { return &g2; }\n\
+             int main(void) { int *(*fp)(void); int c; int *p; c = getchar();\n\
+               if (c) { fp = f1; } else { fp = f2; } p = fp(); *p = 1; return 0; }";
+        check_resume(a, b, &["f1"]);
+    }
+
+    #[test]
+    fn resume_after_editing_a_callee_redelivers_the_clean_callers_actuals() {
+        // `main` stays clean, so its `&g1` actual is final and its edge
+        // to `store` seeded; the edited `store`'s formal is in the cone
+        // and gets `&g1` only through the boundary's actuals rule.
+        let a = "int g1; int *gp; int *hp;\n\
+             void store(int *p) { gp = p; }\n\
+             int main(void) { store(&g1); return 0; }";
+        let b = "int g1; int *gp; int *hp;\n\
+             void store(int *p) { gp = p; hp = p; }\n\
+             int main(void) { store(&g1); return 0; }";
+        check_resume(a, b, &["store"]);
     }
 
     #[test]

@@ -16,12 +16,20 @@
 //!    operation; single-target operations introduce no location
 //!    assumptions, and store pairs provably unmodified by an update pass
 //!    through without new assumptions.
+//!
+//! Seeded incremental resume (`analyze_cs_resume`, reached through
+//! [`SolverSpec::resume`](crate::SolverSpec::resume)) runs on the
+//! crate's one resume skeleton, shared with CI, Weihl and k=1: the
+//! skeleton plans, closes the dirty cone (with the CS rules and the
+//! pruning-drift roots), and delivers the boundary. This module only
+//! translates antichain rows, installs them as seeds, and supplies the
+//! boundary's `deliver_committed`.
 
 use crate::ci::CiResult;
-use crate::fingerprint::GraphIndex;
+use crate::fingerprint::{intern_pair, GraphIndex};
 use crate::fxhash::{HashMap, HashSet};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::solver::SolverKind;
+use crate::resume::{plan_base, ConeVocab};
 use crate::summary::{
     FuncFacts, FunctionSummary, MemOpPruning, ResumeStats, SolverSummaries, StableAssum,
 };
@@ -1206,7 +1214,8 @@ pub(crate) fn extract_func(
 /// pair with its antichain of assumption sets over next-graph formals.
 type CsRow = Vec<(Pair, Vec<Vec<(OutputId, Pair)>>)>;
 
-/// Seeded resume of the assumption-set analysis.
+/// Seeded resume of the assumption-set analysis, through the shared
+/// resume skeleton (`crate::resume`).
 ///
 /// The subset-seeding argument extends to the qualified lattice: each
 /// output's value is a map from pairs to minimal antichains of
@@ -1222,68 +1231,53 @@ type CsRow = Vec<(Pair, Vec<Vec<(OutputId, Pair)>>)>;
 /// a clean function whose recorded CI pruning facts drifted from the
 /// *current* CI solution roots the affected memory operation's outputs
 /// in the cone (§4.2 pruning decisions are baked into the assumption
-/// sets).
+/// sets). At the boundary the Call transfer both forwards actuals to
+/// formals and re-resolves waiting returns through
+/// `repropagate_new_actual`.
 ///
-/// `None` when the plan is rejected (wrong vocabulary, unstable naming,
-/// call-string heap naming); `Some(Err(_))` when the re-solve exhausts
-/// the step budget — both are fresh-solve fallbacks for the caller.
+/// `Err` when the re-solve exhausts the step budget — a fresh-solve
+/// fallback for the caller.
 pub(crate) fn analyze_cs_resume(
     graph: &Graph,
     index: &GraphIndex,
     ci: &CiResult,
     prev: &SolverSummaries,
     config: &CsConfig,
-) -> Option<Result<(CsResult, ResumeStats), StepLimitExceeded>> {
-    use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != SolverKind::Cs || config.heap_naming != crate::ci::HeapNaming::Site {
-        return None;
-    }
+) -> Result<(CsResult, ResumeStats), StepLimitExceeded> {
     let mut paths = ci.paths.clone();
-    let base = plan_base(graph, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::Cs { outputs, .. } = &summary.facts else {
-            return None;
-        };
-        if outputs.len() != want {
-            return None;
-        }
-        let entry_outs = &graph.node(graph.func(f).entry).outputs;
-        let mut rows: Vec<CsRow> = Vec::with_capacity(want);
-        for row in outputs {
+    let base = plan_base(
+        graph,
+        index,
+        prev,
+        |facts| match facts {
+            FuncFacts::Cs { outputs, .. } => Some(outputs.as_slice()),
+            _ => None,
+        },
+        |f, row| {
+            let entry_outs = &graph.node(graph.func(f).entry).outputs;
             let mut r: CsRow = Vec::with_capacity(row.len());
             for (sp, sets) in row {
-                let a = intern_stable(graph, index, &mut paths, &sp.path)?;
-                let b = intern_stable(graph, index, &mut paths, &sp.referent)?;
+                let pair = intern_pair(graph, index, &mut paths, sp)?;
                 let mut tsets = Vec::with_capacity(sets.len());
                 for set in sets {
                     let mut ts = Vec::with_capacity(set.len());
                     for assum in set {
                         let formal = *entry_outs.get(assum.formal as usize)?;
-                        let pa = intern_stable(graph, index, &mut paths, &assum.pair.path)?;
-                        let pb = intern_stable(graph, index, &mut paths, &assum.pair.referent)?;
-                        ts.push((formal, Pair::new(pa, pb)));
+                        ts.push((formal, intern_pair(graph, index, &mut paths, &assum.pair)?));
                     }
                     tsets.push(ts);
                 }
-                r.push((Pair::new(a, b), tsets));
+                r.push((pair, tsets));
             }
-            rows.push(r);
-        }
-        Some(rows)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
+            Some(r)
+        },
+    );
 
     // Pruning drift: compare each clean function's recorded memop facts
     // against the current CI solution; a drifted operation's outputs
     // root the cone.
     let mut extra: Vec<OutputId> = Vec::new();
-    for &f in translated.keys() {
+    for &f in base.translated.keys() {
         let fi = f.0 as usize;
         let summary = &prev.funcs[&graph.func(f).name];
         let FuncFacts::Cs { memops, .. } = &summary.facts else {
@@ -1291,157 +1285,50 @@ pub(crate) fn analyze_cs_resume(
         };
         for m in memops {
             let node = NodeId(index.node_start[fi] + m.offset);
-            let mut refs = Vec::new();
-            let mut ok = true;
-            for r in ci.loc_referents(graph, node) {
-                match crate::fingerprint::stable_path(&ci.paths, graph, index, r) {
-                    Some(s) => refs.push(s),
-                    None => {
-                        ok = false;
-                        break;
-                    }
+            let refs: Option<Vec<_>> = ci
+                .loc_referents(graph, node)
+                .into_iter()
+                .map(|r| crate::fingerprint::stable_path(&ci.paths, graph, index, r))
+                .collect();
+            let drifted = match refs {
+                Some(mut refs) => {
+                    refs.sort_unstable();
+                    m.single != (refs.len() == 1) || m.loc_refs != refs
                 }
-            }
-            refs.sort_unstable();
-            if !ok || m.single != (refs.len() == 1) || m.loc_refs != refs {
+                None => true,
+            };
+            if drifted {
                 extra.extend(graph.node(node).outputs.iter().copied());
             }
         }
     }
-    let in_cone = compute_cone_for(
-        graph,
-        index,
-        &dirty,
-        &prev_edges,
-        &lost_callees,
-        ConeVocab::Cs,
-        &extra,
-    );
+    let plan = base.cone(graph, index, ConeVocab::Cs, &extra);
 
     let mut s = CsSolver::new(graph, ci, config.clone());
     s.paths = paths;
-
-    // 1. Install out-of-cone antichains as silent seeds (no worklist).
-    let mut seeded_outputs = 0;
-    for (&f, rows) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, row) in rows.iter().enumerate() {
-            let o = (os + i as u32) as usize;
-            if in_cone[o] {
-                continue;
+    for (o, row) in plan.seeds() {
+        for (pair, sets) in row {
+            let mut sids = Vec::with_capacity(sets.len());
+            for set in sets {
+                let mut ids: Vec<u32> = set
+                    .iter()
+                    .map(|&(formal, p)| s.assums.assum(formal, p))
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                s.max_set = s.max_set.max(ids.len());
+                sids.push(s.assums.intern_set(ids.into_boxed_slice()));
             }
-            for (pair, sets) in row {
-                let mut sids = Vec::with_capacity(sets.len());
-                for set in sets {
-                    let mut ids: Vec<u32> = set
-                        .iter()
-                        .map(|&(formal, p)| s.assums.assum(formal, p))
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    s.max_set = s.max_set.max(ids.len());
-                    sids.push(s.assums.intern_set(ids.into_boxed_slice()));
-                }
-                s.p[o].entry(*pair).or_default().extend(sids);
-            }
-            seeded_outputs += 1;
+            s.p[o].entry(*pair).or_default().extend(sids);
         }
     }
-
-    // 2. Install call edges whose function input is out-of-cone.
-    let mut call_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for (n, fs) in &prev_edges {
-        if !in_cone[graph.input_src(*n, 0).0 as usize] {
-            call_edges.insert(*n, fs.clone());
-        }
-    }
-    for (&call, fs) in &call_edges {
-        for &f in fs {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Constants dedup against the seeds; in-cone ones queue.
+    plan.install_edges(&mut s.callees, &mut s.callers);
     s.seed();
-
-    // 4. Boundary deliveries, mirroring the CI recipe (see
-    //    `analyze_ci_resume`): plain nodes, then seeded-call actuals
-    //    (the Call transfer both forwards to formals and re-resolves
-    //    waiting returns through `repropagate_new_actual`), then return
-    //    inputs of callees whose seeded callers have in-cone outputs.
-    for (id, n) in graph.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| in_cone[o.0 as usize]) {
-            continue;
-        }
-        for port in 0..n.inputs.len() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = graph.input_src(id, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(id, port, src);
-            }
-        }
-    }
-    for (&call, fs) in &call_edges {
-        let needed = fs.iter().any(|&f| {
-            graph
-                .node(graph.func(f).entry)
-                .outputs
-                .iter()
-                .any(|&o| in_cone[o.0 as usize])
-        });
-        if !needed {
-            continue;
-        }
-        for port in 1..graph.node(call).inputs.len() {
-            let src = graph.input_src(call, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(call, port, src);
-            }
-        }
-    }
-    let mut ret_needed: HashSet<VFuncId> = HashSet::default();
-    for (&call, fs) in &call_edges {
-        if graph
-            .node(call)
-            .outputs
-            .iter()
-            .any(|&o| in_cone[o.0 as usize])
-        {
-            ret_needed.extend(fs.iter().copied());
-        }
-    }
-    for &f in &ret_needed {
-        for &ret in &graph.func(f).returns {
-            for port in 0..graph.node(ret).inputs.len() {
-                let src = graph.input_src(ret, port);
-                if !in_cone[src.0 as usize] {
-                    s.deliver_committed(ret, port, src);
-                }
-            }
-        }
-    }
-
-    // 5. Solve the cone.
-    if let Err(e) = s.run() {
-        return Some(Err(e));
-    }
-    let mut dirty_names: Vec<String> = dirty.iter().map(|f| graph.func(*f).name.clone()).collect();
-    dirty_names.sort_unstable();
-    let stats = ResumeStats {
-        clean: graph.func_count() - dirty.len(),
-        dirty: dirty_names,
-        cone_outputs: in_cone.iter().filter(|&&b| b).count(),
-        seeded_outputs,
-        total_outputs: graph.output_count(),
-    };
-    Some(Ok((s.finish(), stats)))
+    plan.deliver_boundary(graph, true, |node, port, src| {
+        s.deliver_committed(node, port, src)
+    });
+    s.run()?;
+    Ok((s.finish(), plan.stats))
 }
 
 /// Checks that the stripped CS solution is contained in the CI solution

@@ -8,9 +8,10 @@
 //! 1. **Slice.** From the queried output, chase value dependencies
 //!    *backwards* — matched load/store parentheses ride the existing
 //!    transfer functions, assignment edges are epsilon — using a
-//!    conservative may-call relation ([`crate::fingerprint::call_targets`]
-//!    style) for call/return boundaries. The result is a set of outputs
-//!    closed under "my committed pairs can influence yours".
+//!    conservative may-call relation (the structural call-target walk
+//!    the dirty cone also uses) for call/return boundaries. The result
+//!    is a set of outputs closed under "my committed pairs can
+//!    influence yours".
 //! 2. **Restricted fixpoint.** Run the ordinary CI solver with an
 //!    *emission mask*: pairs flowing to outputs outside the slice are
 //!    dropped before they commit. Because the slice is
@@ -22,8 +23,11 @@
 //!    and discovered call edges persist in a [`DemandState`]; the next
 //!    query extends the solved region instead of starting over, with
 //!    boundary deliveries hand-carrying already-final sets into the
-//!    newly activated cone (the same discipline as
-//!    [`analyze_ci_resume`](crate::ci::analyze_ci_resume)).
+//!    newly activated outputs. That is the seeded-resume boundary of
+//!    the exhaustive solvers, and it runs through the same function
+//!    (the crate's shared resume skeleton): the previously solved
+//!    region plays the outputs outside the dirty cone, the newly
+//!    activated outputs play the cone.
 //!
 //! Per-query budgets bound both the slice size and the number of
 //! worklist deliveries. On exhaustion the state falls back to the
@@ -35,8 +39,9 @@
 //! result byte-identical to a fresh exhaustive solve.
 
 use crate::ci::{analyze_ci, deliver_committed, CiConfig, CiResult, Solver, SolverParts};
-use crate::fxhash::{HashMap, HashSet};
+use crate::fxhash::HashMap;
 use crate::pairset::Propagation;
+use crate::resume::deliver_boundary;
 use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, VFuncId};
 
 /// Budgets and solver knobs for the demand-driven solver.
@@ -222,11 +227,7 @@ impl DemandState {
         }
         let prev = std::mem::replace(&mut self.active, vec![true; graph.output_count()]);
         let parts = self.parts.take().expect("live state");
-        let mut s = Solver::from_parts(graph, self.cfg.ci.clone(), parts, self.active.clone());
-        s.seed();
-        install_boundary(graph, &mut s, &prev, &self.active);
-        s.run();
-        let result = s.finish();
+        let result = self.extend_region(graph, parts, &prev, u64::MAX).finish();
         self.stats.materialized = true;
         self.stats.outputs_active = graph.output_count() as u64;
         self.fallback = Some(result.clone());
@@ -302,11 +303,7 @@ impl DemandState {
         // Restricted fixpoint over the enlarged region (step 2).
         let parts = self.parts.take().expect("live state");
         let steps_before = parts.flow_ins;
-        let mut s = Solver::from_parts(graph, self.cfg.ci.clone(), parts, self.active.clone());
-        s.step_limit = s.flow_ins.saturating_add(self.cfg.max_steps);
-        s.seed();
-        install_boundary(graph, &mut s, &before, &self.active);
-        s.run();
+        let s = self.extend_region(graph, parts, &before, self.cfg.max_steps);
         if s.exhausted() {
             // Poisoned: the region is mid-fixpoint. Abandon it and
             // compute the oracle once; every later query is a fallback.
@@ -319,6 +316,39 @@ impl DemandState {
         self.stats.outputs_active = self.active.iter().filter(|&&a| a).count() as u64;
         self.parts = Some(s.into_parts());
         false
+    }
+
+    /// Grows the solved region from `prev` to `self.active`: restores
+    /// the carried solver, seeds constants, hands the final sets of
+    /// `prev` into the newly activated outputs through the shared
+    /// resume boundary (`prev` plays the outputs outside the dirty cone,
+    /// the new outputs the cone), and runs the restricted fixpoint for
+    /// at most `max_steps` more deliveries. The known call edges are
+    /// exact: an edge is registered by the run that finalizes its call's
+    /// function input, and calls with a fresh function input register
+    /// theirs during this run.
+    fn extend_region<'g>(
+        &self,
+        graph: &'g Graph,
+        parts: SolverParts,
+        prev: &[bool],
+        max_steps: u64,
+    ) -> Solver<'g> {
+        let mut s = Solver::from_parts(graph, self.cfg.ci.clone(), parts, self.active.clone());
+        s.step_limit = s.flow_ins.saturating_add(max_steps);
+        s.seed();
+        let edges = s.callees.clone();
+        let now = &self.active;
+        deliver_boundary(
+            graph,
+            |o| prev[o.0 as usize],
+            |o| now[o.0 as usize] && !prev[o.0 as usize],
+            &edges,
+            true,
+            |node, port, src| deliver_committed(&mut s, node, port, src),
+        );
+        s.run();
+        s
     }
 
     /// Pushes the dependencies of `o` — outputs whose committed pairs
@@ -390,78 +420,6 @@ impl DemandState {
         if self.fallback.is_none() {
             self.parts = None;
             self.fallback = Some(analyze_ci(graph, &self.cfg.ci));
-        }
-    }
-}
-
-/// Hand-delivers already-final committed sets across the boundary into
-/// the newly activated region, exactly once — the demand counterpart
-/// of [`analyze_ci_resume`](crate::ci::analyze_ci_resume)'s step 4.
-/// `prev` is the solved region before this query, `now` after; a
-/// source in `prev` is final and will never deliver again on its own.
-fn install_boundary(g: &Graph, s: &mut Solver, prev: &[bool], now: &[bool]) {
-    let fresh = |o: OutputId| now[o.0 as usize] && !prev[o.0 as usize];
-    let was = |o: OutputId| prev[o.0 as usize];
-    // Plain nodes: deliver final inputs of any node with a fresh
-    // output. Calls and returns route across function boundaries and
-    // follow below; Primop emits nothing; PassThrough forwards port 0.
-    for (id, n) in g.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| fresh(o)) {
-            continue;
-        }
-        for (port, &inp) in n.inputs.iter().enumerate() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = g.input(inp).src;
-            if was(src) {
-                deliver_committed(s, id, port, src);
-            }
-        }
-    }
-    // Known call edges. An edge is registered the moment its call's
-    // function input delivers, which happens in the run that finalizes
-    // that input — so every call with a final function input already
-    // has its exact callee set here. Fresh-input calls register their
-    // edges during the coming run, which pushes/pulls committed sets
-    // itself.
-    let edges: Vec<(NodeId, Vec<VFuncId>)> =
-        s.callees.iter().map(|(&c, fs)| (c, fs.clone())).collect();
-    // Actuals: a callee with fresh formals needs every final actual.
-    for (call, fs) in &edges {
-        let needed = fs
-            .iter()
-            .any(|&f| g.node(g.func(f).entry).outputs.iter().any(|&o| fresh(o)));
-        if !needed {
-            continue;
-        }
-        for port in 1..g.node(*call).inputs.len() {
-            let src = g.input_src(*call, port);
-            if was(src) {
-                deliver_committed(s, *call, port, src);
-            }
-        }
-    }
-    // Returns: a call with fresh outputs needs its callees' final
-    // return inputs forwarded (duplicates to other callers dedup).
-    let mut ret_needed: HashSet<VFuncId> = HashSet::default();
-    for (call, fs) in &edges {
-        if g.node(*call).outputs.iter().any(|&o| fresh(o)) {
-            ret_needed.extend(fs.iter().copied());
-        }
-    }
-    for &f in &ret_needed {
-        for &ret in &g.func(f).returns {
-            for port in 0..g.node(ret).inputs.len() {
-                let src = g.input_src(ret, port);
-                if was(src) {
-                    deliver_committed(s, ret, port, src);
-                }
-            }
         }
     }
 }

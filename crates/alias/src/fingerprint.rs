@@ -1,9 +1,10 @@
-//! Content-addressed function fingerprints, cross-graph fact
-//! translation, and dirty-cone computation for incremental re-analysis.
+//! Content-addressed function fingerprints and cross-graph fact
+//! translation for incremental re-analysis.
 //!
 //! The incremental layer (`engine::incremental`) re-analyzes an edited
-//! program by reusing the committed pair sets of functions whose VDG
-//! content did not change. Three pieces make that sound:
+//! program by reusing the committed facts of functions whose VDG
+//! content did not change. This module supplies the two
+//! graph-independent halves of that:
 //!
 //! 1. **Fingerprints** ([`GraphIndex`]): a 64-bit content hash per
 //!    function over the contiguous node slice the function owns — node
@@ -17,27 +18,30 @@
 //!    heap site label, …) and access paths as operator strings — so a
 //!    summary extracted from one graph can be re-interned into the
 //!    [`PathTable`] of another. Each solver has its own fact shape
-//!    ([`crate::summary::FuncFacts`]); this module owns the CI shape
-//!    and the shared classification/cone machinery the other solvers'
-//!    planners build on ([`plan_base`], [`compute_cone_for`]).
-//! 3. **The dirty cone** ([`compute_cone`]): the forward closure, over
-//!    static consumer edges plus call/return boundaries, of every
-//!    output owned by a changed function. Outputs *outside* the cone
-//!    provably receive exactly the deliveries they received in the
-//!    previous run, so their final committed sets are unchanged and can
-//!    be installed as seeds; outputs inside are recomputed from those
-//!    seeds (see [`crate::ci::analyze_ci_resume`]). Because the CI
-//!    transfer system is monotone in the committed sets (including the
-//!    strong-update rule, whose pass condition "∃ a non-killing
-//!    location pair" only grows as location sets grow), iterating from
-//!    a subset of the least fixpoint converges to exactly the least
-//!    fixpoint — the seeded resume is bit-identical to from-scratch.
+//!    ([`crate::summary::FuncFacts`]); this module owns the CI shape,
+//!    the pair rendering and re-interning every shape is built from,
+//!    and the conservative call-target walk the dirty cone and the
+//!    demand slicer share.
+//!
+//! What to do with translated facts is the job of the crate's one
+//! seeded-resume skeleton (the private `resume` module, `DESIGN.md`
+//! §12): classify functions clean or dirty, close the **dirty cone** —
+//! the forward closure, over static consumer edges plus call/return
+//! boundaries, of every output owned by a changed function — install
+//! the facts outside the cone as seeds, and deliver the cone's
+//! boundary once. Outputs outside the cone provably receive exactly
+//! the deliveries they received in the previous run, so their final
+//! committed sets are unchanged. Because each worklist solver's
+//! transfer system is monotone in the committed sets (for CI including
+//! the strong-update rule, whose pass condition "∃ a non-killing
+//! location pair" only grows as location sets grow), iterating from a
+//! subset of the least fixpoint converges to exactly the least
+//! fixpoint — the seeded resume is bit-identical to from-scratch.
 
 use crate::ci::CiResult;
 use crate::fxhash::{HashMap, HashSet};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::solver::SolverKind;
-use crate::summary::{FuncFacts, FunctionSummary, SolverSummaries};
+use crate::summary::{FuncFacts, FunctionSummary};
 use vdg::graph::{BaseKind, Graph, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
 
 /// FNV-1a, 64-bit — the workspace-standard dependency-free hash.
@@ -537,220 +541,6 @@ pub(crate) fn extract_ci_func(
     })
 }
 
-/// The vocabulary-independent skeleton of a resume plan: which
-/// functions are clean (with their facts translated into next-graph
-/// vocabulary by the caller's closure), which are dirty, the clean
-/// functions' previous call edges, and the callees that lost an
-/// in-flow.
-pub(crate) struct PlanBase<T> {
-    /// Translated facts per clean function.
-    pub(crate) translated: HashMap<VFuncId, T>,
-    /// Dirty functions: changed fingerprint, deleted-from-summary, or
-    /// demoted on translation failure.
-    pub(crate) dirty: HashSet<VFuncId>,
-    /// Previous call edges of clean functions, in next-graph node ids.
-    pub(crate) prev_edges: HashMap<NodeId, Vec<VFuncId>>,
-    /// Functions that lost an in-flow: callees of a dirty or deleted
-    /// function.
-    pub(crate) lost_callees: HashSet<VFuncId>,
-}
-
-/// Classifies `next`'s functions against `prev` and translates each
-/// clean function's facts via `translate` (returning `None` demotes the
-/// function to dirty, exactly like a failed call-edge translation).
-/// Shared by every vocabulary's resume planner. Returns `None` when the
-/// index reports stable naming as unsafe.
-pub(crate) fn plan_base<T>(
-    next: &Graph,
-    index: &GraphIndex,
-    prev: &SolverSummaries,
-    mut translate: impl FnMut(VFuncId, &FunctionSummary) -> Option<T>,
-) -> Option<PlanBase<T>> {
-    if index.unsafe_reason.is_some() {
-        return None;
-    }
-    let clean: HashMap<VFuncId, &FunctionSummary> = next
-        .func_ids()
-        .filter_map(|f| {
-            prev.funcs
-                .get(&next.func(f).name)
-                .filter(|s| s.fingerprint == index.func_fps[f.0 as usize])
-                .map(|s| (f, s))
-        })
-        .collect();
-    let mut dirty: HashSet<VFuncId> = (0..next.func_count() as u32)
-        .map(VFuncId)
-        .filter(|f| !clean.contains_key(f))
-        .collect();
-    let mut translated: HashMap<VFuncId, T> = HashMap::default();
-    let mut edges: HashMap<VFuncId, Vec<(NodeId, Vec<VFuncId>)>> = HashMap::default();
-    'funcs: for (&f, summary) in &clean {
-        let fi = f.0 as usize;
-        let mut fe = Vec::with_capacity(summary.calls.len());
-        for (off, names) in &summary.calls {
-            let node = NodeId(index.node_start[fi] + off);
-            let mut callees = Vec::with_capacity(names.len());
-            for name in names {
-                let Some(&c) = index.func_by_name.get(name) else {
-                    dirty.insert(f);
-                    continue 'funcs;
-                };
-                callees.push(c);
-            }
-            fe.push((node, callees));
-        }
-        let Some(t) = translate(f, summary) else {
-            dirty.insert(f);
-            continue;
-        };
-        translated.insert(f, t);
-        edges.insert(f, fe);
-    }
-    translated.retain(|f, _| !dirty.contains(f));
-    edges.retain(|f, _| !dirty.contains(f));
-
-    // Prev call edges of clean functions, for the cone's return rule.
-    let mut prev_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for fe in edges.values() {
-        for (n, callees) in fe {
-            prev_edges.insert(*n, callees.clone());
-        }
-    }
-
-    // A dirty or deleted function's previous call edges are gone from
-    // the next-graph closure, but the callees they used to feed lost an
-    // in-flow: their committed sets may shrink, so their entries must
-    // join the cone. Without this, a callee whose only call site was
-    // deleted would be seeded with stale facts.
-    let mut lost_callees: HashSet<VFuncId> = HashSet::default();
-    for (name, summary) in &prev.funcs {
-        let gone = match index.func_by_name.get(name) {
-            Some(&f) => dirty.contains(&f),
-            None => true,
-        };
-        if !gone {
-            continue;
-        }
-        for (_, callee_names) in &summary.calls {
-            for c in callee_names {
-                if let Some(&t) = index.func_by_name.get(c) {
-                    lost_callees.insert(t);
-                }
-            }
-        }
-    }
-    Some(PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    })
-}
-
-/// The plan for one seeded CI resume, in next-graph vocabulary.
-pub struct CiResumePlan {
-    /// Pre-interned path table over the next graph, holding every
-    /// seeded path.
-    pub paths: PathTable,
-    /// Per-output seeds: `Some(pairs)` outside the dirty cone (the
-    /// committed set is final and installed verbatim), `None` inside.
-    pub seeds: Vec<Option<Vec<Pair>>>,
-    /// Seeded call edges, for calls whose function input is outside the
-    /// cone (their callee sets are provably final).
-    pub call_edges: HashMap<NodeId, Vec<VFuncId>>,
-    /// Functions whose fingerprints (or fact translation) changed.
-    pub dirty: Vec<VFuncId>,
-    /// Number of outputs inside the dirty cone.
-    pub cone_outputs: usize,
-    /// Number of outputs seeded from cache.
-    pub seeded_outputs: usize,
-}
-
-/// Plans a seeded CI resume of `next` given the previous run's
-/// summaries (`prev`, including functions that no longer exist). A
-/// next-graph function is *clean* when a same-named summary exists and
-/// its fingerprint matches; everything else is dirty. A clean function
-/// whose summary fails to translate (a base, field, or callee no
-/// longer exists) is demoted to dirty. Returns `None` when the index
-/// reports stable naming as unsafe or `prev` speaks another
-/// vocabulary.
-pub fn plan_ci_resume(
-    next: &Graph,
-    index: &GraphIndex,
-    prev: &SolverSummaries,
-) -> Option<CiResumePlan> {
-    if prev.vocab != SolverKind::Ci {
-        return None;
-    }
-    let mut paths = PathTable::for_graph(next);
-    let base = plan_base(next, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::Ci(rows) = &summary.facts else {
-            return None;
-        };
-        if rows.len() != want {
-            // Fingerprint equality should make this impossible; treat a
-            // mismatch as a stale summary.
-            return None;
-        }
-        let mut outs = Vec::with_capacity(want);
-        for pairs in rows {
-            let mut v = Vec::with_capacity(pairs.len());
-            for sp in pairs {
-                let a = intern_stable(next, index, &mut paths, &sp.path)?;
-                let b = intern_stable(next, index, &mut paths, &sp.referent)?;
-                v.push(Pair::new(a, b));
-            }
-            outs.push(v);
-        }
-        Some(outs)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
-
-    let in_cone = compute_cone(next, index, &dirty, &prev_edges, &lost_callees);
-    let cone_outputs = in_cone.iter().filter(|&&b| b).count();
-
-    let mut seeds: Vec<Option<Vec<Pair>>> = vec![None; next.output_count()];
-    let mut seeded_outputs = 0;
-    for (&f, outs) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, pairs) in outs.iter().enumerate() {
-            let o = os + i as u32;
-            if !in_cone[o as usize] {
-                seeds[o as usize] = Some(pairs.clone());
-                seeded_outputs += 1;
-            }
-        }
-    }
-    // Seed call edges only where the function input is out-of-cone:
-    // those callee sets are provably final. In-cone function inputs
-    // re-discover their edges through normal propagation.
-    let mut call_edges = HashMap::default();
-    for (n, callees) in prev_edges {
-        let src = next.input_src(n, 0);
-        if !in_cone[src.0 as usize] {
-            call_edges.insert(n, callees);
-        }
-    }
-
-    let mut dirty: Vec<VFuncId> = dirty.into_iter().collect();
-    dirty.sort_unstable_by_key(|f| f.0);
-    Some(CiResumePlan {
-        paths,
-        seeds,
-        call_edges,
-        dirty,
-        cone_outputs,
-        seeded_outputs,
-    })
-}
-
 /// Re-interns a stable path into `paths` over `next`. `None` when the
 /// base key or a field name no longer exists.
 pub(crate) fn intern_stable(
@@ -771,6 +561,32 @@ pub(crate) fn intern_stable(
         p = paths.child(p, op);
     }
     Some(p)
+}
+
+/// Re-interns a stable pair (the inverse of `stable_pair`). `None`
+/// when either side no longer exists.
+pub(crate) fn intern_pair(
+    next: &Graph,
+    index: &GraphIndex,
+    paths: &mut PathTable,
+    sp: &StablePair,
+) -> Option<Pair> {
+    let a = intern_stable(next, index, paths, &sp.path)?;
+    let b = intern_stable(next, index, paths, &sp.referent)?;
+    Some(Pair::new(a, b))
+}
+
+/// Re-interns one row of stable pairs — a CI or Weihl output's facts,
+/// or one k=1 context's — failing as a whole if any pair fails.
+pub(crate) fn intern_pairs(
+    next: &Graph,
+    index: &GraphIndex,
+    paths: &mut PathTable,
+    row: &[StablePair],
+) -> Option<Vec<Pair>> {
+    row.iter()
+        .map(|sp| intern_pair(next, index, paths, sp))
+        .collect()
 }
 
 /// The set of call targets the cone must assume for a call whose
@@ -814,193 +630,6 @@ pub(crate) fn call_targets(g: &Graph, call: NodeId) -> Vec<VFuncId> {
     funcs.sort_unstable();
     funcs.dedup();
     funcs
-}
-
-/// Which solver's transfer system a dirty-cone closure must mirror.
-/// The CI rules are the base; CS and k=1 add paths a change can take
-/// that CI does not have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConeVocab {
-    /// CI rules (also sound for Weihl's value space: Weihl's per-node
-    /// emissions are a subset of CI's, and store-relation invalidation
-    /// is handled by the caller through `extra_roots`).
-    Ci,
-    /// CI rules plus: an in-cone actual re-derives the call's own
-    /// outputs (`repropagate_new_actual` re-emits return products at
-    /// the call), and the caller roots memory operations whose CI
-    /// pruning drifted via `extra_roots`.
-    Cs,
-    /// CI rules plus: an in-cone actual re-derives the call's own
-    /// outputs (`pull_returns` re-emits under the arriving context);
-    /// an in-cone function input and a lost caller re-derive *all*
-    /// outputs of the affected callee, not just its entries (a changed
-    /// activation set reaches every context-indexed slot, constants
-    /// included).
-    K1,
-}
-
-/// Computes the dirty cone: the outputs whose final committed sets may
-/// differ from the previous run. Everything outside provably receives
-/// exactly the deliveries of the previous run.
-///
-/// Closure rules, mirroring the CI transfer functions:
-/// - every output owned by a dirty function is in the cone;
-/// - the entry outputs of every `lost_callees` function (a callee of a
-///   dirty or deleted function, whose in-flows may have vanished) are
-///   in the cone;
-/// - an in-cone output feeding a node puts that node's affected
-///   outputs in the cone (`PassThrough` only forwards port 0; `Primop`
-///   emits nothing);
-/// - an in-cone function input of a call puts the call's outputs and
-///   the entries of every possible target in the cone (the callee set
-///   may change);
-/// - an in-cone actual puts the entries of the call's previously
-///   recorded callees in the cone;
-/// - an in-cone input of `Return{f}` puts the outputs of `f`'s
-///   previously recorded callers in the cone.
-///
-/// See [`ConeVocab`] for the CS and k=1 extensions.
-pub fn compute_cone(
-    g: &Graph,
-    index: &GraphIndex,
-    dirty: &HashSet<VFuncId>,
-    prev_edges: &HashMap<NodeId, Vec<VFuncId>>,
-    lost_callees: &HashSet<VFuncId>,
-) -> Vec<bool> {
-    compute_cone_for(
-        g,
-        index,
-        dirty,
-        prev_edges,
-        lost_callees,
-        ConeVocab::Ci,
-        &[],
-    )
-}
-
-/// [`compute_cone`] parameterized by solver vocabulary plus extra cone
-/// roots (CS memop pruning drift; Weihl `Lookup` reads under a dirty
-/// store).
-pub(crate) fn compute_cone_for(
-    g: &Graph,
-    index: &GraphIndex,
-    dirty: &HashSet<VFuncId>,
-    prev_edges: &HashMap<NodeId, Vec<VFuncId>>,
-    lost_callees: &HashSet<VFuncId>,
-    vocab: ConeVocab,
-    extra_roots: &[OutputId],
-) -> Vec<bool> {
-    let mut prev_callers: HashMap<VFuncId, Vec<NodeId>> = HashMap::default();
-    for (&n, callees) in prev_edges {
-        for &f in callees {
-            prev_callers.entry(f).or_default().push(n);
-        }
-    }
-    let mut in_cone = vec![false; g.output_count()];
-    let mut wl: Vec<u32> = Vec::new();
-    let mark = |o: OutputId, in_cone: &mut Vec<bool>, wl: &mut Vec<u32>| {
-        if !in_cone[o.0 as usize] {
-            in_cone[o.0 as usize] = true;
-            wl.push(o.0);
-        }
-    };
-    // A changed callee set (or lost caller) invalidates the callee's
-    // entries under CI/CS/Weihl; under k=1 it changes the callee's
-    // *activation set*, which indexes every context-keyed slot the
-    // callee owns — constants included — so the whole function joins.
-    let mark_target = |t: VFuncId, in_cone: &mut Vec<bool>, wl: &mut Vec<u32>| {
-        if vocab == ConeVocab::K1 {
-            let fi = t.0 as usize;
-            for o in index.out_start[fi]..index.out_end[fi] {
-                mark(OutputId(o), in_cone, wl);
-            }
-        } else {
-            for &out in &g.node(g.func(t).entry).outputs {
-                mark(out, in_cone, wl);
-            }
-        }
-    };
-    for &f in dirty {
-        let fi = f.0 as usize;
-        for o in index.out_start[fi]..index.out_end[fi] {
-            mark(OutputId(o), &mut in_cone, &mut wl);
-        }
-    }
-    // Entries that lost a caller (see `plan_ci_resume`): their
-    // committed sets may shrink, and shrinkage propagates forward like
-    // any other change.
-    for &f in lost_callees {
-        mark_target(f, &mut in_cone, &mut wl);
-    }
-    for &o in extra_roots {
-        mark(o, &mut in_cone, &mut wl);
-    }
-    while let Some(o) = wl.pop() {
-        // Each consumer of an in-cone output re-derives some outputs.
-        let consumers: Vec<vdg::graph::InputId> = g.consumers(OutputId(o)).to_vec();
-        for inp in consumers {
-            let info = g.input(inp);
-            let n = g.node(info.node);
-            match &n.kind {
-                NodeKind::Call => {
-                    if info.port == 0 {
-                        for &out in &n.outputs {
-                            mark(out, &mut in_cone, &mut wl);
-                        }
-                        for t in call_targets(g, info.node) {
-                            mark_target(t, &mut in_cone, &mut wl);
-                        }
-                    } else {
-                        if let Some(callees) = prev_edges.get(&info.node) {
-                            for &t in callees {
-                                mark_target(t, &mut in_cone, &mut wl);
-                            }
-                        }
-                        // Under CS a new actual re-derives the call's
-                        // own outputs (`repropagate_new_actual` pins
-                        // return products to the newly committed
-                        // assumption set); under k=1, `pull_returns`
-                        // re-emits at the call under the arriving
-                        // caller context.
-                        if matches!(vocab, ConeVocab::Cs | ConeVocab::K1) {
-                            for &out in &n.outputs {
-                                mark(out, &mut in_cone, &mut wl);
-                            }
-                        }
-                    }
-                    // A call owned by a dirty function has no recorded
-                    // edges, but its function input is dirty-owned and
-                    // therefore in-cone, so the port-0 rule covers its
-                    // targets.
-                }
-                NodeKind::Return { func } => {
-                    if let Some(callers) = prev_callers.get(func) {
-                        for &c in callers {
-                            for &out in &g.node(c).outputs {
-                                mark(out, &mut in_cone, &mut wl);
-                            }
-                        }
-                    }
-                    // Callers whose function input is in-cone have
-                    // their outputs marked by the port-0 rule.
-                }
-                NodeKind::PassThrough => {
-                    if info.port == 0 {
-                        for &out in &n.outputs {
-                            mark(out, &mut in_cone, &mut wl);
-                        }
-                    }
-                }
-                NodeKind::Primop => {}
-                _ => {
-                    for &out in &n.outputs {
-                        mark(out, &mut in_cone, &mut wl);
-                    }
-                }
-            }
-        }
-    }
-    in_cone
 }
 
 #[cfg(test)]

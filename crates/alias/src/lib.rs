@@ -43,6 +43,7 @@ pub mod fxhash;
 pub mod modref;
 pub mod pairset;
 pub mod path;
+mod resume;
 pub mod solver;
 pub mod stats;
 pub mod steensgaard;
@@ -55,7 +56,7 @@ pub use demand::{DemandConfig, DemandState, DemandStats};
 pub use fingerprint::{GraphIndex, StablePair, StablePath};
 pub use pairset::{PairId, PairInterner, PairSet, Propagation};
 pub use path::{AccessOp, Pair, PathId, PathTable};
-pub use solver::{ResumeOutcome, Solution, SolutionBox, SolverKind, SolverSpec};
+pub use solver::{ResumeOutcome, ResumeRefusal, Solution, SolutionBox, SolverKind, SolverSpec};
 pub use summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries};
 
 use std::fmt;

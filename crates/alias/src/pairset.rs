@@ -90,7 +90,7 @@ const SPILL: usize = 64;
 ///
 /// Small sets are a sorted `Vec<u32>` (binary-search membership, most
 /// outputs hold a handful of pairs and never allocate a bitset); past
-/// [`SPILL`] elements the set becomes a bitset indexed by id with O(1)
+/// `SPILL` (64) elements the set becomes a bitset indexed by id with O(1)
 /// membership and insertion. Iteration is always in ascending id order,
 /// so downstream consumption is deterministic.
 #[derive(Debug, Clone, Default)]
@@ -168,6 +168,16 @@ impl PairSet {
         }
         self.small = Vec::new();
         self.spilled = true;
+    }
+
+    /// Installs `pairs` as committed ids with no pending delta: a
+    /// resume seed, final, which never delivers on its own.
+    pub(crate) fn install(&mut self, interner: &mut PairInterner, pairs: &[Pair]) {
+        for &p in pairs {
+            self.insert(interner.intern(p));
+        }
+        let d = self.take_delta();
+        self.recycle(d);
     }
 
     /// Takes the pending delta, leaving it empty (capacity retained by

@@ -31,7 +31,7 @@ use crate::ci::{
     analyze_ci, analyze_ci_resume, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder,
 };
 use crate::cs::{analyze_cs, CsConfig, CsResult};
-use crate::fingerprint::{plan_ci_resume, GraphIndex, StablePair};
+use crate::fingerprint::{GraphIndex, StablePair};
 use crate::pairset::Propagation;
 use crate::path::{PathId, PathTable};
 use crate::stats::PointsToSolution;
@@ -41,6 +41,7 @@ use crate::weihl::{analyze_weihl_with, WeihlResult};
 use crate::AnalysisError;
 use std::any::Any;
 use std::cell::RefCell;
+use std::fmt;
 use vdg::graph::{BaseId, Graph, NodeId, VFuncId};
 
 /// A per-function summary extractor over one solution: `Sync` so the
@@ -56,6 +57,49 @@ pub struct ResumeOutcome {
     pub solution: SolutionBox,
     /// Which functions re-summarized, and how much was seeded.
     pub stats: ResumeStats,
+}
+
+/// Why [`SolverSpec::resume`] declined to resume: the caller solves
+/// fresh and reports the reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeRefusal {
+    /// Call-string heap naming keys heap paths to call sites, which the
+    /// stable summary vocabulary does not carry.
+    HeapNaming,
+    /// Fault injection is active: the seeded and fresh runs would
+    /// observe different transfer functions, and planted bugs must not
+    /// be masked by cached facts.
+    FaultInjection,
+    /// The graph's naming is unstable (the recorded reason), so function
+    /// fingerprints cannot be trusted across edits.
+    UnstableNaming(String),
+    /// There are no summaries in this solver's vocabulary to resume
+    /// from.
+    NoSummaries,
+    /// The summaries cannot seed this solver: another vocabulary, or
+    /// facts outside the stable vocabulary.
+    PlanRejected,
+    /// No function's fingerprint survived the edit; seeding would win
+    /// nothing.
+    EveryFunctionChanged,
+    /// The resume itself exhausted the solver's step budget.
+    StepBudget,
+}
+
+impl fmt::Display for ResumeRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeRefusal::HeapNaming => {
+                f.write_str("call-string heap naming defeats stable summaries")
+            }
+            ResumeRefusal::FaultInjection => f.write_str("fault injection active"),
+            ResumeRefusal::UnstableNaming(r) => write!(f, "unstable naming: {r}"),
+            ResumeRefusal::NoSummaries => f.write_str("no summaries for this solver"),
+            ResumeRefusal::PlanRejected => f.write_str("resume plan rejected"),
+            ResumeRefusal::EveryFunctionChanged => f.write_str("every function changed"),
+            ResumeRefusal::StepBudget => f.write_str("resume exhausted its step budget"),
+        }
+    }
 }
 
 /// A solved analysis, boxed behind the uniform [`Solution`] view.
@@ -854,42 +898,45 @@ impl SolverSpec {
     /// §12). `ci` is the same optional companion as for
     /// [`SolverSpec::solve`].
     ///
-    /// Returns `None` when this analysis cannot resume from `prev`
-    /// (wrong vocabulary, configuration without stable naming, rejected
-    /// plan): the caller falls back to a fresh solve. `Some(Err(_))`
-    /// means the resume itself exhausted a step budget — also a
-    /// fresh-solve fallback, but worth distinguishing for diagnostics.
+    /// # Errors
+    ///
+    /// A [`ResumeRefusal`] saying why the caller must solve fresh
+    /// instead. The gates run in a fixed order: call-string heap naming
+    /// (CI, CS), fault injection (CI), unstable naming, no summaries
+    /// (`prev` is `None`), summaries in another vocabulary, no function
+    /// left clean; then the resume itself may exhaust a step budget.
     pub fn resume(
         &self,
         graph: &Graph,
         index: &GraphIndex,
-        prev: &SolverSummaries,
+        prev: Option<&SolverSummaries>,
         ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
+    ) -> Result<ResumeOutcome, ResumeRefusal> {
+        let uses_heap_naming = matches!(self.kind, SolverKind::Ci | SolverKind::Cs);
+        if uses_heap_naming && self.heap_naming != HeapNaming::Site {
+            return Err(ResumeRefusal::HeapNaming);
+        }
+        if self.kind == SolverKind::Ci && self.fault != Fault::None {
+            return Err(ResumeRefusal::FaultInjection);
+        }
+        if let Some(r) = &index.unsafe_reason {
+            return Err(ResumeRefusal::UnstableNaming(r.clone()));
+        }
+        let prev = prev.ok_or(ResumeRefusal::NoSummaries)?;
+        if prev.vocab != self.kind {
+            return Err(ResumeRefusal::PlanRejected);
+        }
+        let any_clean = graph.func_ids().any(|f| {
+            prev.funcs
+                .get(&graph.func(f).name)
+                .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
+        });
+        if !any_clean {
+            return Err(ResumeRefusal::EveryFunctionChanged);
+        }
         let (solution, stats): (SolutionBox, ResumeStats) = match self.kind {
             SolverKind::Ci => {
-                // Call-string heap naming keys allocations by caller,
-                // which the stable vocabulary does not carry; fault
-                // injection would make the seeded and fresh runs
-                // observe different graphs.
-                if self.heap_naming != HeapNaming::Site || self.fault != Fault::None {
-                    return None;
-                }
-                let plan = plan_ci_resume(graph, index, prev)?;
-                let mut dirty: Vec<String> = plan
-                    .dirty
-                    .iter()
-                    .map(|f| graph.func(*f).name.clone())
-                    .collect();
-                dirty.sort_unstable();
-                let stats = ResumeStats {
-                    dirty,
-                    clean: graph.func_count() - plan.dirty.len(),
-                    cone_outputs: plan.cone_outputs,
-                    seeded_outputs: plan.seeded_outputs,
-                    total_outputs: graph.output_count(),
-                };
-                let result = analyze_ci_resume(graph, &self.ci_config(), plan);
+                let (result, stats) = analyze_ci_resume(graph, index, prev, &self.ci_config());
                 (Box::new(result), stats)
             }
             SolverKind::Cs => {
@@ -905,10 +952,10 @@ impl SolverSpec {
                         &owned
                     }
                 };
-                match crate::cs::analyze_cs_resume(graph, index, ci, prev, &self.cs_config())? {
-                    Ok((result, stats)) => (Box::new(result), stats),
-                    Err(e) => return Some(Err(e.into())),
-                }
+                let (result, stats) =
+                    crate::cs::analyze_cs_resume(graph, index, ci, prev, &self.cs_config())
+                        .map_err(|_| ResumeRefusal::StepBudget)?;
+                (Box::new(result), stats)
             }
             SolverKind::Weihl => {
                 let (result, stats) = crate::weihl::analyze_weihl_resume(
@@ -917,30 +964,30 @@ impl SolverSpec {
                     prev,
                     shared_paths(graph, ci),
                     self.propagation,
-                )?;
+                );
                 (Box::new(result), stats)
             }
             SolverKind::Steensgaard => {
-                let (result, stats) = crate::steensgaard::replay_steensgaard(graph, index, prev)?;
+                let (result, stats) = crate::steensgaard::replay_steensgaard(graph, index, prev)
+                    .ok_or(ResumeRefusal::PlanRejected)?;
                 let solution = SteensSolution {
                     inner: RefCell::new(result),
                 };
                 (Box::new(solution), stats)
             }
             SolverKind::CallString1 => {
-                match crate::callstring::analyze_callstring_resume(
+                let (result, stats) = crate::callstring::analyze_callstring_resume(
                     graph,
                     index,
                     prev,
                     shared_paths(graph, ci),
                     &self.callstring_config(),
-                )? {
-                    Ok((result, stats)) => (Box::new(result), stats),
-                    Err(e) => return Some(Err(e.into())),
-                }
+                )
+                .map_err(|_| ResumeRefusal::StepBudget)?;
+                (Box::new(result), stats)
             }
         };
-        Some(Ok(ResumeOutcome { solution, stats }))
+        Ok(ResumeOutcome { solution, stats })
     }
 
     /// Runs the CI analysis with this spec's knobs and hands back the

@@ -18,7 +18,6 @@
 
 use crate::fingerprint::GraphIndex;
 use crate::fxhash::HashMap;
-use crate::solver::SolverKind;
 use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, SteensConstraint};
 use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
 
@@ -375,15 +374,13 @@ pub(crate) fn extract_func(graph: &Graph, index: &GraphIndex, f: VFuncId) -> Fun
 /// ones, indirect calls bound to the *current* address-taken set —
 /// exactly the unifications of a fresh solve, modulo idempotent
 /// duplicates, so the final partition is identical. Returns `None`
-/// when stable naming is unsafe or `prev` speaks another vocabulary.
+/// when a stored atom no longer resolves. `SolverSpec::resume` gates
+/// unstable naming and foreign vocabularies before calling this.
 pub(crate) fn replay_steensgaard(
     graph: &Graph,
     index: &GraphIndex,
     prev: &SolverSummaries,
 ) -> Option<(SteensResult, ResumeStats)> {
-    if index.unsafe_reason.is_some() || prev.vocab != SolverKind::Steensgaard {
-        return None;
-    }
     let mut ecrs = Ecrs::new();
     let base_ecr: Vec<u32> = graph.base_ids().map(|_| ecrs.fresh()).collect();
     let mut out_ecr: HashMap<u32, u32> = HashMap::default();
@@ -396,39 +393,27 @@ pub(crate) fn replay_steensgaard(
         total_outputs: graph.output_count(),
         ..ResumeStats::default()
     };
-    let mut fresh_atoms: Vec<FunctionSummary> = Vec::new();
-    let mut plan: Vec<(VFuncId, &FunctionSummary)> = Vec::new();
     for f in graph.func_ids() {
         let name = &graph.func(f).name;
-        let clean = prev
+        let stored = prev
             .funcs
             .get(name)
             .filter(|s| s.fingerprint == index.func_fps[f.0 as usize])
             .filter(|s| matches!(s.facts, FuncFacts::Steens(_)));
-        match clean {
-            Some(_) => stats.clean += 1,
+        let fresh;
+        let summary = match stored {
+            Some(s) => {
+                stats.clean += 1;
+                s
+            }
             None => {
                 stats.dirty.push(name.clone());
                 let fi = f.0 as usize;
                 stats.cone_outputs += (index.out_end[fi] - index.out_start[fi]) as usize;
-                fresh_atoms.push(extract_func(graph, index, f));
+                fresh = extract_func(graph, index, f);
+                &fresh
             }
-        }
-    }
-    stats.dirty.sort_unstable();
-    stats.seeded_outputs = stats.total_outputs - stats.cone_outputs;
-    let mut fresh_it = fresh_atoms.iter();
-    for f in graph.func_ids() {
-        let name = &graph.func(f).name;
-        let summary = prev
-            .funcs
-            .get(name)
-            .filter(|s| s.fingerprint == index.func_fps[f.0 as usize])
-            .filter(|s| matches!(s.facts, FuncFacts::Steens(_)))
-            .unwrap_or_else(|| fresh_it.next().expect("fresh atoms per dirty func"));
-        plan.push((f, summary));
-    }
-    for (f, summary) in plan {
+        };
         apply_atoms(
             graph,
             index,
@@ -440,6 +425,8 @@ pub(crate) fn replay_steensgaard(
             &addr_taken,
         )?;
     }
+    stats.dirty.sort_unstable();
+    stats.seeded_outputs = stats.total_outputs - stats.cone_outputs;
     Some((
         SteensResult {
             ecrs,

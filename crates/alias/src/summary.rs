@@ -24,9 +24,10 @@
 //!
 //! Summaries are keyed by function name and guarded by the function's
 //! content fingerprint ([`crate::fingerprint::GraphIndex`]); the
-//! per-solver resume planners translate a clean function's facts into
-//! the next graph's vocabulary and install them as seeds outside the
-//! dirty cone. The subset-seeding argument of PR 4 carries over to each
+//! crate's one resume skeleton translates a clean function's facts into
+//! the next graph's vocabulary (one translation per vocabulary) and
+//! each solver installs them as seeds outside the dirty cone. The
+//! subset-seeding argument of the CI resume carries over to each
 //! vocabulary because every solver's transfer system is monotone over
 //! its own lattice (pair sets; per-context pair sets; minimal
 //! antichains of assumption sets under the superset order; union-find

@@ -13,11 +13,11 @@
 //! paper's "how much of the precision is program-point-specificity?"
 //! question.
 
-use crate::fingerprint::GraphIndex;
+use crate::fingerprint::{intern_pairs, GraphIndex};
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::solver::SolverKind;
+use crate::resume::{plan_base, ConeVocab};
 use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries};
 use std::collections::VecDeque;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
@@ -90,26 +90,7 @@ pub fn analyze_weihl_with(
     paths: PathTable,
     propagation: Propagation,
 ) -> WeihlResult {
-    let mut s = Weihl {
-        g: graph,
-        paths,
-        propagation,
-        interner: PairInterner::new(),
-        values: vec![PairSet::new(); graph.output_count()],
-        store: PairSet::new(),
-        naive_wl: VecDeque::new(),
-        out_wl: VecDeque::new(),
-        queued: vec![false; graph.output_count()],
-        store_queued: false,
-        store_consumers: Vec::new(),
-        callees: HashMap::default(),
-        callers: HashMap::default(),
-        flow_ins: 0,
-        flow_outs: 0,
-        dedup_hits: 0,
-        delta_batches: 0,
-    };
-    s.collect_store_consumers();
+    let mut s = Weihl::new(graph, paths, propagation);
     s.seed();
     s.run();
     s.finish()
@@ -154,11 +135,30 @@ struct Weihl<'g> {
 }
 
 impl<'g> Weihl<'g> {
-    fn collect_store_consumers(&mut self) {
-        for (id, n) in self.g.nodes() {
-            if matches!(n.kind, NodeKind::Lookup { .. } | NodeKind::CopyMem) {
-                self.store_consumers.push(id);
-            }
+    /// An idle solver over `graph` starting from `paths`.
+    fn new(graph: &'g Graph, paths: PathTable, propagation: Propagation) -> Self {
+        Weihl {
+            g: graph,
+            paths,
+            propagation,
+            interner: PairInterner::new(),
+            values: vec![PairSet::new(); graph.output_count()],
+            store: PairSet::new(),
+            naive_wl: VecDeque::new(),
+            out_wl: VecDeque::new(),
+            queued: vec![false; graph.output_count()],
+            store_queued: false,
+            store_consumers: graph
+                .nodes()
+                .filter(|(_, n)| matches!(n.kind, NodeKind::Lookup { .. } | NodeKind::CopyMem))
+                .map(|(id, _)| id)
+                .collect(),
+            callees: HashMap::default(),
+            callers: HashMap::default(),
+            flow_ins: 0,
+            flow_outs: 0,
+            dedup_hits: 0,
+            delta_batches: 0,
         }
     }
 
@@ -649,7 +649,9 @@ pub(crate) fn extract_store(
         .collect()
 }
 
-/// Seeded resume of the program-wide analysis.
+/// Seeded resume of the program-wide analysis. The plan, cone and
+/// seeds come from the shared resume skeleton (`crate::resume`); the
+/// boundary rules are Weihl's own, because the store is global.
 ///
 /// Two regimes. When every function replays clean and none was deleted,
 /// the store relation is provably unchanged: install every value set,
@@ -673,61 +675,29 @@ pub(crate) fn analyze_weihl_resume(
     prev: &SolverSummaries,
     paths: PathTable,
     propagation: Propagation,
-) -> Option<(WeihlResult, ResumeStats)> {
-    use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != SolverKind::Weihl {
-        return None;
-    }
+) -> (WeihlResult, ResumeStats) {
     let mut paths = paths;
-    let base = plan_base(graph, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::Weihl(rows) = &summary.facts else {
-            return None;
-        };
-        if rows.len() != want {
-            return None;
-        }
-        let mut outs = Vec::with_capacity(want);
-        for pairs in rows {
-            let mut v = Vec::with_capacity(pairs.len());
-            for sp in pairs {
-                let a = intern_stable(graph, index, &mut paths, &sp.path)?;
-                let b = intern_stable(graph, index, &mut paths, &sp.referent)?;
-                v.push(Pair::new(a, b));
-            }
-            outs.push(v);
-        }
-        Some(outs)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
+    let base = plan_base(
+        graph,
+        index,
+        prev,
+        |facts| match facts {
+            FuncFacts::Weihl(rows) => Some(rows.as_slice()),
+            _ => None,
+        },
+        |_, row| intern_pairs(graph, index, &mut paths, row),
+    );
 
     let deleted = prev
         .funcs
         .keys()
         .any(|n| !index.func_by_name.contains_key(n));
-    let mut store_dirty = !dirty.is_empty() || deleted;
-    let mut store_seed: Vec<Pair> = Vec::new();
-    if !store_dirty {
-        for sp in &prev.store {
-            match (
-                intern_stable(graph, index, &mut paths, &sp.path),
-                intern_stable(graph, index, &mut paths, &sp.referent),
-            ) {
-                (Some(a), Some(b)) => store_seed.push(Pair::new(a, b)),
-                _ => {
-                    store_dirty = true;
-                    store_seed.clear();
-                    break;
-                }
-            }
-        }
-    }
+    let store_seed = if base.dirty.is_empty() && !deleted {
+        intern_pairs(graph, index, &mut paths, &prev.store)
+    } else {
+        None
+    };
+    let store_dirty = store_seed.is_none();
 
     // Value-space cone; a dirty store additionally invalidates every
     // Lookup result, which reads the store.
@@ -739,84 +709,22 @@ pub(crate) fn analyze_weihl_resume(
             }
         }
     }
-    let in_cone = compute_cone_for(
-        graph,
-        index,
-        &dirty,
-        &prev_edges,
-        &lost_callees,
-        ConeVocab::Ci,
-        &extra,
-    );
+    let plan = base.cone(graph, index, ConeVocab::Ci, &extra);
+    let in_cone = &plan.in_cone;
 
-    let mut s = Weihl {
-        g: graph,
-        paths,
-        propagation,
-        interner: PairInterner::new(),
-        values: vec![PairSet::new(); graph.output_count()],
-        store: PairSet::new(),
-        naive_wl: VecDeque::new(),
-        out_wl: VecDeque::new(),
-        queued: vec![false; graph.output_count()],
-        store_queued: false,
-        store_consumers: Vec::new(),
-        callees: HashMap::default(),
-        callers: HashMap::default(),
-        flow_ins: 0,
-        flow_outs: 0,
-        dedup_hits: 0,
-        delta_batches: 0,
-    };
-    s.collect_store_consumers();
-
-    // 1. Install out-of-cone value facts as silent seeds.
-    let mut seeded_outputs = 0;
-    for (&f, outs) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, pairs) in outs.iter().enumerate() {
-            let o = (os + i as u32) as usize;
-            if in_cone[o] {
-                continue;
-            }
-            for &p in pairs {
-                let id = s.interner.intern(p);
-                s.values[o].insert(id);
-            }
-            let d = s.values[o].take_delta();
-            s.values[o].recycle(d);
-            seeded_outputs += 1;
-        }
+    let mut s = Weihl::new(graph, paths, propagation);
+    for (o, pairs) in plan.seeds() {
+        s.values[o].install(&mut s.interner, pairs);
     }
-    if !store_dirty {
-        for p in store_seed {
-            let id = s.interner.intern(p);
-            s.store.insert(id);
-        }
-        let d = s.store.take_delta();
-        s.store.recycle(d);
+    if let Some(store) = &store_seed {
+        s.store.install(&mut s.interner, store);
     }
-
-    // 2. Install call edges whose function input is out-of-cone.
-    let mut call_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for (n, callees) in &prev_edges {
-        let src = graph.input_src(*n, 0);
-        if !in_cone[src.0 as usize] {
-            call_edges.insert(*n, callees.clone());
-        }
-    }
-    for (&call, callees) in &call_edges {
-        for &f in callees {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Constants dedup against the seeds; in-cone ones queue.
+    plan.install_edges(&mut s.callees, &mut s.callers);
+    // Constants dedup against the seeds; in-cone ones queue.
     s.seed();
 
-    // 4. Boundary deliveries (only the dirty-store regime has a
-    //    non-empty cone to feed).
+    // Weihl's own boundary deliveries (only the dirty-store regime has
+    // a non-empty cone to feed).
     if store_dirty {
         for (id, n) in graph.nodes() {
             match &n.kind {
@@ -828,11 +736,11 @@ pub(crate) fn analyze_weihl_resume(
                     if n.outputs.iter().any(|o| in_cone[o.0 as usize]) =>
                 {
                     for port in 0..n.inputs.len() {
-                        s.deliver_committed(id, port, &in_cone);
+                        s.deliver_committed(id, port, in_cone);
                     }
                 }
                 NodeKind::PassThrough if n.outputs.iter().any(|o| in_cone[o.0 as usize]) => {
-                    s.deliver_committed(id, 0, &in_cone);
+                    s.deliver_committed(id, 0, in_cone);
                 }
                 // The store is rebuilt from scratch: every Update
                 // re-derives its contribution from the committed
@@ -841,14 +749,14 @@ pub(crate) fn analyze_weihl_resume(
                 // empty store and re-fires the store-consumer rule
                 // against the committed sets.
                 NodeKind::Update { .. } => {
-                    s.deliver_committed(id, 0, &in_cone);
-                    s.deliver_committed(id, 2, &in_cone);
+                    s.deliver_committed(id, 0, in_cone);
+                    s.deliver_committed(id, 2, in_cone);
                 }
                 _ => {}
             }
         }
         let mut ret_needed: HashSet<VFuncId> = HashSet::default();
-        for (&call, callees) in &call_edges {
+        for (&call, callees) in &plan.call_edges {
             let n = graph.node(call);
             let formals_in_cone = callees.iter().any(|&f| {
                 graph
@@ -859,7 +767,7 @@ pub(crate) fn analyze_weihl_resume(
             });
             if formals_in_cone {
                 for port in 2..n.inputs.len() {
-                    s.deliver_committed(call, port, &in_cone);
+                    s.deliver_committed(call, port, in_cone);
                 }
             }
             if n.outputs.len() > 1 && in_cone[n.outputs[1].0 as usize] {
@@ -871,23 +779,14 @@ pub(crate) fn analyze_weihl_resume(
         for f in ret_needed {
             for &ret in &graph.func(f).returns {
                 if graph.has_input(ret, 1) {
-                    s.deliver_committed(ret, 1, &in_cone);
+                    s.deliver_committed(ret, 1, in_cone);
                 }
             }
         }
     }
 
     s.run();
-    let mut dirty_names: Vec<String> = dirty.iter().map(|f| graph.func(*f).name.clone()).collect();
-    dirty_names.sort_unstable();
-    let stats = ResumeStats {
-        clean: graph.func_count() - dirty.len(),
-        dirty: dirty_names,
-        cone_outputs: in_cone.iter().filter(|&&b| b).count(),
-        seeded_outputs,
-        total_outputs: graph.output_count(),
-    };
-    Some((s.finish(), stats))
+    (s.finish(), plan.stats)
 }
 
 #[cfg(test)]

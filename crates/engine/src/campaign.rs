@@ -14,9 +14,9 @@
 //! going.
 //!
 //! **Checksummed journal.** After every chunk the campaign rewrites
-//! `journal.ruf95` in its state directory using the same atomic
-//! write/versioned-header/FNV-checksum idiom as `serve::store`
-//! (temp-file + rename, `ruf95-campaign v1 <fnv64>` header). A killed
+//! `journal.ruf95` in its state directory through the same framing as
+//! `serve::store` ([`crate::persist`]: temp file + fsync + rename,
+//! `ruf95-campaign v1 <fnv64>` header). A killed
 //! campaign resumes exactly at the next chunk, and a resumed campaign's
 //! final report is byte-identical to an uninterrupted run because the
 //! canonical report is a pure fold over journaled per-chunk results —
@@ -39,8 +39,8 @@
 //! ratio those three streams achieve at corpus scale.
 
 use crate::fuzz::{self, FuzzConfig, JobOutcome};
-use crate::pool;
 use crate::shrink::shrink;
+use crate::{persist, pool};
 use alias::fingerprint::fnv64_parts;
 use proto::json::{json_str, Value};
 use proto::{fp_hex, parse_fp_hex};
@@ -48,7 +48,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -215,8 +214,8 @@ struct Journal {
     chunks: Vec<ChunkRecord>,
 }
 
-/// How loading the journal went (the `serve::store` idiom: hostile or
-/// stale bytes degrade to a recorded fresh start, never a panic).
+/// How loading the journal went (hostile or stale bytes degrade to a
+/// recorded fresh start, never a panic).
 enum JournalLoad {
     Missing,
     Loaded(Journal),
@@ -732,60 +731,28 @@ fn config_key(cfg: &CampaignConfig) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Journal persistence (the `serve::store` idiom: versioned checksummed
-// header line + single-line JSON payload, atomic rename).
+// Journal persistence, through the shared framing of `crate::persist`.
 // ---------------------------------------------------------------------
 
 fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| CampaignError::Io(format!("{}: {e}", path.display()));
-    {
-        let mut f = fs::File::create(&tmp).map_err(io)?;
-        f.write_all(bytes).map_err(io)?;
-        f.sync_all().map_err(io)?;
-    }
-    fs::rename(&tmp, path).map_err(io)
+    persist::atomic_write(path, bytes)
+        .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
 }
 
 fn save_journal(path: &Path, journal: &Journal) -> Result<(), CampaignError> {
     let payload = journal_to_value(journal).render();
-    let header = format!(
-        "{JOURNAL_MAGIC} v{JOURNAL_VERSION} {}",
-        fp_hex(alias::fingerprint::fnv64(payload.as_bytes()))
-    );
-    atomic_write(path, format!("{header}\n{payload}\n").as_bytes())
+    persist::save(path, JOURNAL_MAGIC, JOURNAL_VERSION, &payload)
+        .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
 }
 
 fn load_journal(path: &Path) -> JournalLoad {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return JournalLoad::Missing,
-        Err(e) => return JournalLoad::Rejected(format!("unreadable: {e}")),
-    };
-    let Some((header, rest)) = text.split_once('\n') else {
-        return JournalLoad::Rejected("missing header line".into());
-    };
-    let fields: Vec<&str> = header.split(' ').collect();
-    if fields.len() != 3 || fields[0] != JOURNAL_MAGIC {
-        return JournalLoad::Rejected("bad header".into());
-    }
-    if fields[1] != format!("v{JOURNAL_VERSION}") {
-        return JournalLoad::Rejected(format!("version {} (want v{JOURNAL_VERSION})", fields[1]));
-    }
-    let Some(want) = parse_fp_hex(fields[2]) else {
-        return JournalLoad::Rejected("bad checksum field".into());
-    };
-    let payload = rest.strip_suffix('\n').unwrap_or(rest);
-    if alias::fingerprint::fnv64(payload.as_bytes()) != want {
-        return JournalLoad::Rejected("checksum mismatch".into());
-    }
-    let value = match Value::parse(payload) {
-        Ok(v) => v,
-        Err(e) => return JournalLoad::Rejected(format!("payload: {e}")),
-    };
-    match journal_from_value(&value) {
-        Some(j) => JournalLoad::Loaded(j),
-        None => JournalLoad::Rejected("payload schema mismatch".into()),
+    match persist::load(path, JOURNAL_MAGIC, JOURNAL_VERSION) {
+        Ok(None) => JournalLoad::Missing,
+        Err(r) => JournalLoad::Rejected(r.to_string()),
+        Ok(Some(value)) => match journal_from_value(&value) {
+            Some(j) => JournalLoad::Loaded(j),
+            None => JournalLoad::Rejected("payload schema mismatch".into()),
+        },
     }
 }
 

@@ -39,7 +39,7 @@ use alias::ci::CiResult;
 use alias::fingerprint::{fnv64, GraphIndex};
 use alias::solver::{SolutionBox, SolverKind};
 use alias::summary::{ResumeStats, SolverSummaries};
-use alias::{AnalysisError, Fault, HeapNaming};
+use alias::{AnalysisError, ResumeRefusal, SolverSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,26 +56,9 @@ pub enum FreshReason {
     /// The benchmark was cached, but a replayed solution for this
     /// solver was not (newly configured, or failed last time).
     NotInCache,
-    /// The cache entry carries no summaries in this solver's
-    /// vocabulary.
-    NoSummaries,
-    /// Call-string heap naming keys heap paths to call sites, defeating
-    /// stable cross-edit summaries.
-    HeapNaming,
-    /// Fault injection is active; planted bugs must not be masked by
-    /// cached facts.
-    FaultInjection,
-    /// The graph's naming is unstable (the recorded reason), so
-    /// function fingerprints cannot be trusted across edits.
-    UnstableNaming(String),
-    /// No function's fingerprint survived the edit; seeding would win
-    /// nothing.
-    EveryFunctionChanged,
-    /// The solver rejected the resume plan (vocabulary mismatch, facts
-    /// outside the stable vocabulary, …).
-    PlanRejected,
-    /// The resume itself exhausted the solver's step budget.
-    StepBudget,
+    /// The solver declined to resume from the cached summaries
+    /// ([`SolverSpec::resume`](alias::SolverSpec::resume)'s reason).
+    Refused(ResumeRefusal),
 }
 
 impl FreshReason {
@@ -85,13 +68,7 @@ impl FreshReason {
             FreshReason::NoCache => "no cached run for this benchmark".into(),
             FreshReason::SpecChange => "solver spec changed".into(),
             FreshReason::NotInCache => "not in cache".into(),
-            FreshReason::NoSummaries => "no summaries for this solver".into(),
-            FreshReason::HeapNaming => "call-string heap naming defeats stable summaries".into(),
-            FreshReason::FaultInjection => "fault injection active".into(),
-            FreshReason::UnstableNaming(r) => format!("unstable naming: {r}"),
-            FreshReason::EveryFunctionChanged => "every function changed".into(),
-            FreshReason::PlanRejected => "resume plan rejected".into(),
-            FreshReason::StepBudget => "resume exhausted its step budget".into(),
+            FreshReason::Refused(r) => r.to_string(),
         }
     }
 }
@@ -544,37 +521,15 @@ impl Engine {
                     _ => unreachable!("solve job on replayed benchmark"),
                 };
                 let s = &self.specs[si];
-                let prev = metas[bi].as_ref().and_then(|m| m.summaries.get(s.name()));
                 let t = Instant::now();
-                let (outcome, mode) = match prev {
-                    None => {
-                        let why = if metas[bi].is_some() {
-                            FreshReason::NoSummaries
-                        } else {
-                            no_cache_why()
-                        };
-                        (s.solve(graph, Some(ci)), SolveMode::Fresh { why })
-                    }
-                    Some(prev) => match s.resume(graph, index, prev, Some(ci)) {
-                        Some(Ok(out)) => {
-                            let mode = SolveMode::from_stats(&out.stats);
-                            (Ok(out.solution), mode)
-                        }
-                        Some(Err(_)) => (
-                            s.solve(graph, Some(ci)),
-                            SolveMode::Fresh {
-                                why: FreshReason::StepBudget,
-                            },
-                        ),
-                        None => {
-                            let why = match &index.unsafe_reason {
-                                Some(r) => FreshReason::UnstableNaming(r.clone()),
-                                None => FreshReason::PlanRejected,
-                            };
-                            (s.solve(graph, Some(ci)), SolveMode::Fresh { why })
-                        }
-                    },
-                };
+                let (outcome, mode) = resume_or_solve(
+                    s,
+                    graph,
+                    index,
+                    Some(ci),
+                    metas[bi].as_ref(),
+                    no_cache_why(),
+                );
                 let wall = t.elapsed();
                 let solved = match outcome {
                     Ok(solution) => Solved {
@@ -668,59 +623,17 @@ impl Engine {
 
         // The graph changed (or was never cached): re-solve CI through
         // its own resume capability, seeded from fingerprint-matched
-        // functions when that is sound. The reason gates are checked
-        // here (rather than trusting `resume`'s opaque `None`) so the
-        // report can say *why* a fresh solve happened.
-        let cfg = self.ci.ci_config();
-        let fresh = |why: FreshReason| SolveMode::Fresh { why };
-        let prev_ci = meta.and_then(|m| m.summaries.get("ci"));
+        // functions when that is sound.
         let t2 = Instant::now();
-        let mut resumed: Option<(CiResult, ResumeStats)> = None;
-        let ci_mode = match (meta, prev_ci) {
-            (None, _) => fresh(no_cache_why),
-            _ if cfg.heap_naming != HeapNaming::Site => fresh(FreshReason::HeapNaming),
-            _ if cfg.fault != Fault::None => fresh(FreshReason::FaultInjection),
-            _ if index.unsafe_reason.is_some() => fresh(FreshReason::UnstableNaming(
-                index.unsafe_reason.clone().unwrap_or_default(),
-            )),
-            (Some(_), None) => fresh(FreshReason::NoSummaries),
-            (Some(_), Some(prev)) => {
-                let any_clean = graph.func_ids().any(|f| {
-                    prev.funcs
-                        .get(&graph.func(f).name)
-                        .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
-                });
-                if !any_clean {
-                    fresh(FreshReason::EveryFunctionChanged)
-                } else {
-                    match self.ci.resume(&graph, &index, prev, None) {
-                        Some(Ok(out)) => {
-                            let mode = SolveMode::from_stats(&out.stats);
-                            let ci = out
-                                .solution
-                                .downcast::<CiResult>()
-                                .expect("the CI solver resumes to a CI result");
-                            resumed = Some((ci, out.stats));
-                            mode
-                        }
-                        Some(Err(_)) => fresh(FreshReason::StepBudget),
-                        None => fresh(FreshReason::PlanRejected),
-                    }
-                }
-            }
-        };
-        let (funcs_reused, funcs_dirty) = match &resumed {
-            Some((_, stats)) => (stats.clean, stats.dirty.len()),
-            None => (0, graph.func_count()),
-        };
-        let ci = match resumed {
-            Some((ci, _)) => ci,
-            None => self
-                .ci
-                .solve(&graph, None)
-                .expect("the CI solver has no step budget")
-                .downcast::<CiResult>()
-                .expect("the engine's ci spec must describe the CI analysis"),
+        let (ci, ci_mode) = resume_or_solve(&self.ci, &graph, &index, None, meta, no_cache_why);
+        let ci = ci
+            .expect("the CI solver has no step budget")
+            .downcast::<CiResult>()
+            .expect("the engine's ci spec must describe the CI analysis");
+        let (funcs_reused, funcs_dirty) = match ci_mode {
+            SolveMode::DirtyCone { dirty, clean, .. } => (clean, dirty),
+            SolveMode::Reseeded { .. } => (graph.func_count(), 0),
+            _ => (0, graph.func_count()),
         };
         let ci_wall = t2.elapsed();
         Ok(IncPrep::Solve {
@@ -909,6 +822,31 @@ impl Engine {
     }
 }
 
+/// The one resume-or-solve path of both incremental stages: resume
+/// `spec` from the benchmark's cached summaries when it can, else solve
+/// fresh and record why. `meta` is `None` for a benchmark with no cache
+/// entry, reported as `no_cache_why`.
+fn resume_or_solve(
+    spec: &SolverSpec,
+    graph: &Graph,
+    index: &GraphIndex,
+    ci: Option<&CiResult>,
+    meta: Option<&PrevMeta>,
+    no_cache_why: FreshReason,
+) -> (Result<SolutionBox, AnalysisError>, SolveMode) {
+    let why = match meta {
+        None => no_cache_why,
+        Some(m) => {
+            let prev = m.summaries.get(spec.name()).map(|s| &**s);
+            match spec.resume(graph, index, prev, ci) {
+                Ok(out) => return (Ok(out.solution), SolveMode::from_stats(&out.stats)),
+                Err(r) => FreshReason::Refused(r),
+            }
+        }
+    };
+    (spec.solve(graph, ci), SolveMode::Fresh { why })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,5 +1020,42 @@ mod tests {
             );
         }
         assert_matches_fresh(&e, &r, &jobs);
+    }
+
+    /// The rendered mode of the CI solution after re-analyzing `next`
+    /// against a cached run of `prev` under engine `e`.
+    fn ci_mode_after(e: &Engine, prev: &str, next: &str) -> String {
+        let run = e.run(&[job("t", prev)]).unwrap();
+        let inc = e.analyze_incremental(&run, &[job("t", next)]).unwrap();
+        inc.benches[0]
+            .solutions
+            .iter()
+            .find(|s| s.analysis == "ci")
+            .and_then(|s| s.mode.as_ref())
+            .expect("ci mode")
+            .render()
+    }
+
+    #[test]
+    fn ci_fresh_reasons_render_their_mode_strings() {
+        use alias::{Fault, HeapNaming, SolverSpec};
+        let heap = Engine::new().ci_spec(SolverSpec::ci().heap_naming(HeapNaming::CallString1));
+        assert_eq!(
+            ci_mode_after(&heap.threads(1), A, B),
+            "fresh(call-string heap naming defeats stable summaries)"
+        );
+        let fault = Engine::new().ci_spec(SolverSpec::ci().fault(Fault::OverStrongUpdates));
+        assert_eq!(
+            ci_mode_after(&fault.threads(1), A, B),
+            "fresh(fault injection active)"
+        );
+        // Editing `main` and a global initializer (which lives in the
+        // synthetic root) leaves no function to seed from.
+        let one = "int g; int h; int *gp; int main(void) { gp = &g; return *gp; }";
+        let edited = "int g; int h; int *gp = &g; int main(void) { gp = &h; return *gp; }";
+        assert_eq!(
+            ci_mode_after(&Engine::new().threads(1), one, edited),
+            "fresh(every function changed)"
+        );
     }
 }

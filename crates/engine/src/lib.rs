@@ -41,6 +41,7 @@ pub mod check;
 pub mod compose;
 pub mod fuzz;
 pub mod incremental;
+pub mod persist;
 pub mod pool;
 pub mod report;
 pub mod shrink;

@@ -19,25 +19,31 @@
 //! re-derive from seeds than to re-validate — so a load can only ever
 //! seed work, never substitute for it.
 //!
-//! Every load failure — missing file, bad header, version or checksum
+//! The framing — header, checksum, atomic write, typed rejection — is
+//! the workspace's one persistence idiom ([`engine::persist`]); this
+//! module owns the magic, the version and the payload schema. Every
+//! load failure — missing file, bad header, version or checksum
 //! mismatch, malformed or incomplete payload — degrades to an explicit
 //! [`LoadOutcome`] variant that the service maps to a cold start. In
 //! particular a `v1` file (CI-only summaries, pre-unification schema)
 //! is rejected wholesale rather than half-decoded. Nothing in this
 //! module panics on hostile input.
 
-use alias::fingerprint::{fnv64, StableOp, StablePair, StablePath};
+use alias::fingerprint::{StableOp, StablePair, StablePath};
 use alias::summary::{
     FuncFacts, FunctionSummary, MemOpPruning, SolverSummaries, StableAssum, StableCtx,
     SteensConstraint,
 };
 use alias::SolverKind;
+use engine::persist;
 use proto::json::Value;
 use proto::{bytes_hex, fp_hex, parse_bytes_hex, parse_fp_hex};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Header magic, first field of a project file's first line.
+const STORE_MAGIC: &str = "ruf95-store";
 
 /// Store format version; bumped on any payload schema change. `v2`
 /// replaced the CI-only summary map with one versioned
@@ -175,83 +181,29 @@ impl Store {
     /// Loads and verifies one project's state. Never panics: every
     /// failure mode becomes a [`LoadOutcome`] variant.
     pub fn load(&self, project: &str) -> LoadOutcome {
-        let path = self.path_of(project);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Missing,
-            Err(e) => {
-                return LoadOutcome::Rejected {
-                    reason: format!("unreadable: {e}"),
-                }
-            }
-        };
-        let Some((header, payload)) = text.split_once('\n') else {
-            return LoadOutcome::Rejected {
-                reason: "truncated: no payload line".into(),
-            };
-        };
-        let fields: Vec<&str> = header.split(' ').collect();
-        if fields.len() != 3 || fields[0] != "ruf95-store" {
-            return LoadOutcome::Rejected {
-                reason: format!("bad header {header:?}"),
-            };
-        }
-        if fields[1] != format!("v{STORE_VERSION}") {
-            return LoadOutcome::Rejected {
-                reason: format!(
-                    "version mismatch: file is {}, store is v{STORE_VERSION}",
-                    fields[1]
-                ),
-            };
-        }
-        let Some(expected) = parse_fp_hex(fields[2]) else {
-            return LoadOutcome::Rejected {
-                reason: format!("bad checksum field {:?}", fields[2]),
-            };
-        };
-        let payload = payload.trim_end_matches('\n');
-        if fnv64(payload.as_bytes()) != expected {
-            return LoadOutcome::Rejected {
-                reason: "checksum mismatch (corrupt or truncated payload)".into(),
-            };
-        }
-        let value = match Value::parse(payload) {
-            Ok(v) => v,
-            Err(e) => {
-                return LoadOutcome::Rejected {
-                    reason: format!("malformed payload: {e}"),
-                }
-            }
-        };
-        match decode_project(value) {
-            Some(p) => LoadOutcome::Loaded(p),
-            None => LoadOutcome::Rejected {
-                reason: "incomplete payload (schema drift within v2?)".into(),
+        match persist::load(&self.path_of(project), STORE_MAGIC, STORE_VERSION) {
+            Ok(None) => LoadOutcome::Missing,
+            Err(r) => LoadOutcome::Rejected {
+                reason: r.to_string(),
+            },
+            Ok(Some(value)) => match decode_project(value) {
+                Some(p) => LoadOutcome::Loaded(p),
+                None => LoadOutcome::Rejected {
+                    reason: "incomplete payload (schema drift within v2?)".into(),
+                },
             },
         }
     }
 
-    /// Persists one project's state, atomically (write temp + rename)
-    /// so a crash mid-write leaves the previous file intact.
+    /// Persists one project's state, atomically (write temp, fsync,
+    /// rename) so a crash mid-write leaves the previous file intact.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     pub fn save(&self, project: &str, state: &StoredProject) -> std::io::Result<()> {
         let payload = encode_project(state).render();
-        let header = format!(
-            "ruf95-store v{STORE_VERSION} {}",
-            fp_hex(fnv64(payload.as_bytes()))
-        );
-        let path = self.path_of(project);
-        let tmp = self.dir.join(format!("{project}.json.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{header}")?;
-            writeln!(f, "{payload}")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)
+        persist::save(&self.path_of(project), STORE_MAGIC, STORE_VERSION, &payload)
     }
 
     /// Project names with a file in the store, sorted.
@@ -829,6 +781,7 @@ fn decode_bench(b: Value) -> Option<StoredBench> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alias::fingerprint::fnv64;
 
     fn pair(base: &str, referent: &str) -> StablePair {
         StablePair {
