@@ -735,13 +735,13 @@ fn config_key(cfg: &CampaignConfig) -> String {
 // ---------------------------------------------------------------------
 
 fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    persist::atomic_write(path, bytes)
+    persist::atomic_write(path, &[bytes])
         .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
 }
 
 fn save_journal(path: &Path, journal: &Journal) -> Result<(), CampaignError> {
     let payload = journal_to_value(journal).render();
-    persist::save(path, JOURNAL_MAGIC, JOURNAL_VERSION, &payload)
+    persist::save(path, JOURNAL_MAGIC, JOURNAL_VERSION, &[&payload])
         .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
 }
 

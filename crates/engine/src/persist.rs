@@ -7,15 +7,23 @@
 //! { ...payload JSON on one line... }
 //! ```
 //!
-//! [`save`] writes it to a temp file beside the target, fsyncs, and
-//! renames it into place, so a crash mid-write leaves the previous file
-//! intact. [`load`] reads it back and checks the magic, the version and
-//! the checksum before parsing; every failure is a typed [`Rejection`],
+//! [`save`] takes the payload as a list of parts whose concatenation is
+//! the payload line: it hashes the parts in order, then writes the
+//! header and each part straight into a temp file beside the target,
+//! fsyncs it, renames it into place and (on Unix) fsyncs the parent
+//! directory, so a crash mid-write leaves the previous file intact and
+//! a crash just after the rename cannot lose it. The payload is never
+//! copied into one buffer: a caller whose payload is mostly memoized
+//! fragments (`serve::store`) hands over the fragments themselves, and
+//! a caller with one rendered string passes a single part.
+//!
+//! [`load`] reads a file back and checks the magic, the version and the
+//! checksum before parsing; every failure is a typed [`Rejection`],
 //! never a panic. `serve::store` (per-project analysis state) and the
 //! campaign journal ([`crate::campaign`]) both persist through it; each
 //! owns its magic, version and payload schema.
 
-use alias::fingerprint::fnv64;
+use alias::fingerprint::{fnv64, Fnv64};
 use proto::json::Value;
 use proto::{fp_hex, parse_fp_hex};
 use std::fmt;
@@ -65,32 +73,63 @@ impl fmt::Display for Rejection {
     }
 }
 
-/// Writes `bytes` to `path` atomically: a `<path>.tmp` sibling is
-/// written, fsynced, and renamed over `path`.
+/// Writes the concatenation of `parts` to `path` atomically: a
+/// `<path>.tmp` sibling is written part by part, fsynced, and renamed
+/// over `path`; on Unix the parent directory is then fsynced so the
+/// rename itself is durable.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+pub fn atomic_write(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     let mut tmp = PathBuf::from(path).into_os_string();
     tmp.push(".tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    sync_parent(path)
 }
 
-/// Persists `payload` (one line of JSON) framed under `magic` and
-/// `version`, atomically.
+/// Fsyncs the directory holding `path`, making a rename into it
+/// durable. Directories cannot be opened for syncing on every
+/// platform, so this is Unix-only.
+#[cfg(unix)]
+fn sync_parent(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent(_path: &Path) -> std::io::Result<()> {
+    Ok(())
+}
+
+/// Persists a one-line JSON payload framed under `magic` and
+/// `version`, atomically. The payload is the concatenation of
+/// `payload_parts`; each part is hashed and written as it stands.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
-pub fn save(path: &Path, magic: &str, version: u32, payload: &str) -> std::io::Result<()> {
-    let header = format!("{magic} v{version} {}", fp_hex(fnv64(payload.as_bytes())));
-    atomic_write(path, format!("{header}\n{payload}\n").as_bytes())
+pub fn save(path: &Path, magic: &str, version: u32, payload_parts: &[&str]) -> std::io::Result<()> {
+    let mut h = Fnv64::new();
+    for part in payload_parts {
+        h.write(part.as_bytes());
+    }
+    let header = format!("{magic} v{version} {}\n", fp_hex(h.finish()));
+    let mut parts: Vec<&[u8]> = Vec::with_capacity(payload_parts.len() + 2);
+    parts.push(header.as_bytes());
+    parts.extend(payload_parts.iter().map(|p| p.as_bytes()));
+    parts.push(b"\n");
+    atomic_write(path, &parts)
 }
 
 /// Loads and verifies a framed file. `Ok(None)` when there is no file;
@@ -138,11 +177,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.json");
         assert_eq!(load(&path, "m", 3), Ok(None));
-        save(&path, "m", 3, "{\"k\": 1}").unwrap();
+        save(&path, "m", 3, &["{\"k\": 1}"]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             text,
             format!("m v3 {}\n{{\"k\": 1}}\n", fp_hex(fnv64(b"{\"k\": 1}")))
+        );
+        // A payload in parts frames exactly like the same payload whole.
+        save(&path, "m", 3, &["{\"k\"", "", ": 1}"]).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert!(
+            !dir.join("state.json.tmp").exists(),
+            "temp file renamed away"
         );
         assert!(matches!(load(&path, "m", 3), Ok(Some(_))));
         assert_eq!(

@@ -142,7 +142,8 @@ pub struct BenchmarkReport {
 /// [`EngineReport::canonical`] scrubs the whole block.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
-    /// Wall time the service spent handling the request, microseconds.
+    /// Wall time the service spent handling the request, microseconds,
+    /// excluding the store write (`store_us`).
     pub latency_us: u64,
     /// Benchmarks replayed verbatim from the session cache.
     pub benches_replayed: usize,
@@ -160,6 +161,9 @@ pub struct ServeStats {
     /// Microseconds the session has spent restoring from the disk
     /// store (initial load plus lazy per-bench decode), cumulative.
     pub restore_us: u64,
+    /// Microseconds the request spent writing its project to the disk
+    /// store.
+    pub store_us: u64,
 }
 
 /// The full result of an engine run.
@@ -264,7 +268,7 @@ impl EngineReport {
                 "{{\"latency_us\": {}, \"benches_replayed\": {}, \
                  \"solutions_replayed\": {}, \"restored\": {}, \
                  \"demand_hits\": {}, \"demand_fallbacks\": {}, \
-                 \"demand_budget_exhausted\": {}, \"restore_us\": {}}}",
+                 \"demand_budget_exhausted\": {}, \"restore_us\": {}, \"store_us\": {}}}",
                 s.latency_us,
                 s.benches_replayed,
                 s.solutions_replayed,
@@ -272,7 +276,8 @@ impl EngineReport {
                 s.demand_hits,
                 s.demand_fallbacks,
                 s.demand_budget_exhausted,
-                s.restore_us
+                s.restore_us,
+                s.store_us
             ),
             None => "null".into(),
         };
@@ -405,6 +410,7 @@ mod tests {
                 demand_fallbacks: 1,
                 demand_budget_exhausted: 0,
                 restore_us: 120,
+                store_us: 310,
             }),
         }
     }
@@ -427,7 +433,7 @@ mod tests {
             "\"serve\": {\"latency_us\": 740, \"benches_replayed\": 1, \
              \"solutions_replayed\": 5, \"restored\": true, \
              \"demand_hits\": 2, \"demand_fallbacks\": 1, \
-             \"demand_budget_exhausted\": 0, \"restore_us\": 120}",
+             \"demand_budget_exhausted\": 0, \"restore_us\": 120, \"store_us\": 310}",
             "\"checks\": {\"diags\": [1, 0, 2, 0, 0, 3, 1], \"true_positives\": 4, \
              \"false_positives\": 1, \"unreachable\": 1, \"refuted\": false}",
             "\"checks\": null",
@@ -463,6 +469,7 @@ mod tests {
         let mut b = sample();
         a.serve = Some(ServeStats {
             latency_us: 3,
+            store_us: 4200,
             ..ServeStats::default()
         });
         b.serve = None;

@@ -12,7 +12,7 @@
 //! numbers — the protocol encodes them as fixed-width hex strings (see
 //! [`crate::fp_hex`]) so no precision is lost in any client.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,18 +80,25 @@ impl Value {
     /// Renders the value as compact JSON (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(64);
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact rendering of [`Value::render`] to `out`, so
+    /// a caller stitching a larger document from fragments renders each
+    /// piece in place.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => out.push_str(&i.to_string()),
+            // Formatted straight into `out`: no temporary `String` per
+            // number (writing to a `String` cannot fail).
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Value::Float(f) => {
                 if f.is_finite() {
-                    out.push_str(&format!("{f}"));
+                    let _ = write!(out, "{f}");
                 } else {
                     // JSON has no NaN/Inf; the writer degrades to null
                     // rather than emitting an unparsable token.
@@ -105,7 +112,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push(']');
             }
@@ -117,7 +124,7 @@ impl Value {
                     }
                     write_json_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push('}');
             }
@@ -467,6 +474,24 @@ mod tests {
             let again = Value::parse(&v.render()).unwrap();
             assert_eq!(v, again, "{src}");
         }
+    }
+
+    #[test]
+    fn compact_documents_render_to_their_own_bytes() {
+        for src in [
+            "0",
+            "-42",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "1.5",
+            "[1,-2,[3,null]]",
+            "{\"a\":1,\"b\":[true,-7],\"c\":{\"d\":\"e\"}}",
+        ] {
+            assert_eq!(Value::parse(src).unwrap().render(), src);
+        }
+        let mut out = String::from("x=");
+        Value::Int(i64::MIN).render_into(&mut out);
+        assert_eq!(out, "x=-9223372036854775808");
     }
 
     #[test]

@@ -392,7 +392,9 @@ pub struct BenchFps {
 /// Cache-effectiveness counters attached to an [`Response::Analyzed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeInfo {
-    /// Wall time the service spent handling the request, microseconds.
+    /// Wall time the service spent handling the request, microseconds,
+    /// up to the solved results: it excludes the store write, which
+    /// `store_us` reports.
     pub latency_us: u64,
     /// Benchmarks replayed verbatim from the session cache.
     pub benches_replayed: u64,
@@ -419,6 +421,9 @@ pub struct ServeInfo {
     /// Microseconds spent restoring this session from the disk store
     /// (load plus lazy per-bench decode), cumulative.
     pub restore_us: u64,
+    /// Microseconds this request spent writing the project to the disk
+    /// store; 0 when nothing changed or no store is configured.
+    pub store_us: u64,
 }
 
 impl ServeInfo {
@@ -454,6 +459,7 @@ impl ServeInfo {
                 Value::Int(self.demand_budget_exhausted as i64),
             ),
             ("restore_us".into(), Value::Int(self.restore_us as i64)),
+            ("store_us".into(), Value::Int(self.store_us as i64)),
         ])
     }
 
@@ -472,6 +478,7 @@ impl ServeInfo {
             demand_fallbacks: n("demand_fallbacks"),
             demand_budget_exhausted: n("demand_budget_exhausted"),
             restore_us: n("restore_us"),
+            store_us: n("store_us"),
         }
     }
 }
@@ -1126,6 +1133,35 @@ mod tests {
         assert_eq!(Response::from_value(&parsed).unwrap(), r, "{text}");
     }
 
+    /// A response from a daemon that predates a `serve` counter still
+    /// decodes; the missing counter reads 0.
+    #[test]
+    fn serve_info_defaults_missing_counters() {
+        let mut v = Response::Analyzed {
+            project: "p".into(),
+            benches: vec![],
+            report_fp: fp_hex(7),
+            report: None,
+            serve: ServeInfo {
+                latency_us: 12,
+                store_us: 1800,
+                ..ServeInfo::default()
+            },
+        }
+        .to_value();
+        let Value::Obj(fields) = &mut v else {
+            panic!("responses are objects")
+        };
+        let Some((_, Value::Obj(serve))) = fields.iter_mut().find(|(k, _)| k == "serve") else {
+            panic!("no serve block")
+        };
+        serve.retain(|(k, _)| k != "store_us");
+        let Ok(Response::Analyzed { serve, .. }) = Response::from_value(&v) else {
+            panic!("old frame must decode")
+        };
+        assert_eq!((serve.latency_us, serve.store_us), (12, 0));
+    }
+
     #[test]
     fn every_request_round_trips() {
         round_trip_request(Request::Analyze {
@@ -1195,6 +1231,7 @@ mod tests {
                 demand_fallbacks: 1,
                 demand_budget_exhausted: 1,
                 restore_us: 250,
+                store_us: 1800,
                 ..ServeInfo::default()
             },
         });

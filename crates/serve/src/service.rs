@@ -14,9 +14,13 @@
 //! disk-store state survives, so the next request warm-starts instead
 //! of cold-starting.
 //!
-//! Persistence is write-through: after every analyze/check the
-//! project's summaries, solution fingerprints, and check fingerprints
-//! go to the [`crate::store::Store`]. A restored session seeds the
+//! Persistence is write-through: after every analyze/check that
+//! changed something the project's summaries, solution fingerprints,
+//! and check fingerprints go to the [`crate::store::Store`], before the
+//! response is built, so an analyze response reports the write's cost
+//! as `store_us` apart from `latency_us`. The session's persisted view
+//! is saved in place, so only the benches a request changed render
+//! their summaries again. A restored session seeds the
 //! tier-3 CI resume from the stored summaries; the engine recompiles
 //! and re-verifies everything, so a corrupt or stale store can cost
 //! time, never correctness.
@@ -52,8 +56,10 @@ struct Session {
     check_cache: CheckCache,
     /// Last solved outputs by benchmark name, for demand queries.
     benches: HashMap<String, BenchOutput>,
-    /// Persisted view of each benchmark, rebuilt on every analyze.
-    stored: HashMap<String, StoredBench>,
+    /// Persisted view of the project, one entry per benchmark, each
+    /// rebuilt when an analyze changes it. Saved in place, so the
+    /// entries keep their memoized summaries rendering across saves.
+    stored: StoredProject,
     last_used: Instant,
     /// Whether this session was seeded from the disk store.
     restored: bool,
@@ -85,6 +91,14 @@ struct Session {
     demand_fallbacks: u64,
     /// Demand queries that exhausted a slice or step budget.
     demand_budget_exhausted: u64,
+}
+
+impl Session {
+    /// Estimated footprint: the summary cache plus the memoized store
+    /// renderings of the persisted view.
+    fn approx_bytes(&self) -> usize {
+        self.cache.approx_bytes() + self.stored.rendered_bytes()
+    }
 }
 
 /// One benchmark's demand-query state (see [`Session::demand`]).
@@ -206,11 +220,13 @@ impl Service {
             )));
         }
         if !self.sessions.contains_key(project) {
+            let cache = self.engine.cache();
+            let stored = StoredProject::new(cache.spec_key());
             let mut session = Session {
-                cache: self.engine.cache(),
+                cache,
                 check_cache: CheckCache::default(),
                 benches: HashMap::new(),
-                stored: HashMap::new(),
+                stored,
                 last_used: Instant::now(),
                 restored: false,
                 dirty: false,
@@ -229,10 +245,9 @@ impl Service {
                         // Summaries stay raw here; the first analyze or
                         // check touching a bench decodes and seeds it
                         // (see seed_pending).
-                        for b in p.benches {
-                            session.pending_restore.insert(b.name.clone());
-                            session.stored.insert(b.name.clone(), b);
-                        }
+                        session.pending_restore =
+                            p.benches.iter().map(|b| b.name.clone()).collect();
+                        session.stored = p;
                         session.restored = true;
                     }
                     // A spec-key mismatch silently cold-starts: the
@@ -258,7 +273,7 @@ impl Service {
             if !session.pending_restore.remove(name) {
                 continue;
             }
-            let Some(b) = session.stored.get_mut(name) else {
+            let Some(b) = session.stored.bench(name) else {
                 continue;
             };
             let t = Instant::now();
@@ -328,16 +343,6 @@ impl Service {
         serve.demand_fallbacks = session.demand_fallbacks;
         serve.demand_budget_exhausted = session.demand_budget_exhausted;
         serve.restore_us = session.restore_us;
-        run.report.serve = Some(engine::ServeStats {
-            latency_us: serve.latency_us,
-            benches_replayed: serve.benches_replayed as usize,
-            solutions_replayed: serve.solutions_replayed as usize,
-            restored,
-            demand_hits: session.demand_hits,
-            demand_fallbacks: session.demand_fallbacks,
-            demand_budget_exhausted: session.demand_budget_exhausted,
-            restore_us: session.restore_us,
-        });
         // (source_fp, graph_fp) per bench, from the cache when it has
         // the entry (it was just computed there).
         let keys: Vec<(u64, u64)> = run
@@ -375,7 +380,7 @@ impl Service {
                     )
                 })
                 .collect();
-            let prev = session.stored.get(&b.name);
+            let prev = session.stored.bench(&b.name);
             // Checks are keyed by source and input; an edit invalidates
             // the stored check fingerprint.
             let check_fp = prev.and_then(|old| {
@@ -402,32 +407,42 @@ impl Service {
                 .summaries_of(&b.name)
                 .map(|(_, _, m)| m)
                 .unwrap_or_default();
-            session.stored.insert(
-                b.name.clone(),
-                StoredBench {
-                    name: b.name.clone(),
-                    source: b.source.clone(),
-                    input: b.input.clone(),
-                    source_fp,
-                    graph_fp,
-                    solution_fps,
-                    summaries: StoredSummaries::Ready(summaries),
-                    check_fp,
-                },
-            );
+            session.stored.upsert(StoredBench {
+                name: b.name.clone(),
+                source: b.source.clone(),
+                input: b.input.clone(),
+                source_fp,
+                graph_fp,
+                solution_fps,
+                summaries: StoredSummaries::ready(summaries),
+                check_fp,
+            });
             session.dirty = true;
         }
-        let report_fp = fp_hex(fnv64(run.report.fingerprint().as_bytes()));
-        let report = want_report
-            .then(|| Value::parse(&run.report.to_json()).ok())
-            .flatten();
-        for b in run.benches {
+        for b in std::mem::take(&mut run.benches) {
             // The solved output supersedes any demand-query state (and
             // answers future queries by lookup).
             session.demand.remove(&b.name);
             session.benches.insert(b.name.clone(), b);
         }
-        self.persist(project);
+        // The store write precedes the response so it can report its
+        // own cost.
+        serve.store_us = self.persist(project);
+        run.report.serve = Some(engine::ServeStats {
+            latency_us: serve.latency_us,
+            benches_replayed: serve.benches_replayed as usize,
+            solutions_replayed: serve.solutions_replayed as usize,
+            restored,
+            demand_hits: serve.demand_hits,
+            demand_fallbacks: serve.demand_fallbacks,
+            demand_budget_exhausted: serve.demand_budget_exhausted,
+            restore_us: serve.restore_us,
+            store_us: serve.store_us,
+        });
+        let report_fp = fp_hex(fnv64(run.report.fingerprint().as_bytes()));
+        let report = want_report
+            .then(|| Value::parse(&run.report.to_json()).ok())
+            .flatten();
         self.enforce_budget(project);
         Response::Analyzed {
             project: project.to_string(),
@@ -498,7 +513,7 @@ impl Service {
             let bench_fp = check_fingerprint(b, bc);
             combined.write_str(&b.name);
             combined.write_u64(bench_fp);
-            if let Some(stored) = session.stored.get_mut(&b.name) {
+            if let Some(stored) = session.stored.bench_mut(&b.name) {
                 if stored.check_fp != Some(bench_fp) {
                     stored.check_fp = Some(bench_fp);
                     session.dirty = true;
@@ -560,7 +575,7 @@ impl Service {
         if !solved {
             let stored_job = self.sessions[project]
                 .stored
-                .get(bench)
+                .bench(bench)
                 .map(|b| JobSpec {
                     name: b.name.clone(),
                     source: b.source.clone(),
@@ -685,7 +700,7 @@ impl Service {
         job: Option<&JobSpec>,
     ) -> Response {
         let session = self.sessions.get_mut(project).expect("ensured above");
-        let (source, source_fp) = match session.stored.get(bench) {
+        let (source, source_fp) = match session.stored.bench(bench) {
             Some(b) => (b.source.clone(), b.source_fp),
             None => match job {
                 Some(j) => (j.source.clone(), fnv64(j.source.as_bytes())),
@@ -801,7 +816,7 @@ impl Service {
             .map(|(name, s)| ProjectStats {
                 name: name.clone(),
                 benches: s.cache.len() as u64,
-                approx_bytes: s.cache.approx_bytes() as u64,
+                approx_bytes: s.approx_bytes() as u64,
                 idle_ms: s.last_used.elapsed().as_millis() as u64,
                 demand_hits: s.demand_hits,
                 demand_fallbacks: s.demand_fallbacks,
@@ -830,34 +845,29 @@ impl Service {
         Response::Ok
     }
 
-    /// Writes one project's state through to the disk store. A no-op
-    /// when the session is clean: a replayed request changes nothing,
-    /// so the file on disk is already current.
-    fn persist(&mut self, project: &str) {
-        let Some(store) = &self.store else { return };
-        let Some(session) = self.sessions.get(project) else {
-            return;
+    /// Writes one project's state through to the disk store and
+    /// returns the microseconds the write took. A no-op (0 µs) when the
+    /// session is clean: a replayed request changes nothing, so the
+    /// file on disk is already current.
+    fn persist(&mut self, project: &str) -> u64 {
+        let Some(store) = &self.store else { return 0 };
+        let Some(session) = self.sessions.get_mut(project) else {
+            return 0;
         };
         if !session.dirty {
-            return;
+            return 0;
         }
-        let mut benches: Vec<StoredBench> = session.stored.values().cloned().collect();
-        benches.sort_by(|a, b| a.name.cmp(&b.name));
-        let state = StoredProject {
-            spec_key: session.cache.spec_key().to_string(),
-            benches,
-        };
+        let t = Instant::now();
+        // Saved in place: only benches an analyze replaced since the
+        // last save render their summaries; the rest reuse the memo.
         // A failed save degrades to colder restarts, not wrong answers;
         // surface it on stderr and keep serving (the session stays
         // dirty, so the next request retries the write).
-        match store.save(project, &state) {
-            Ok(()) => {
-                if let Some(s) = self.sessions.get_mut(project) {
-                    s.dirty = false;
-                }
-            }
+        match store.save(project, &session.stored) {
+            Ok(()) => session.dirty = false,
             Err(e) => eprintln!("ruf95 serve: store write failed for {project:?}: {e}"),
         }
+        t.elapsed().as_micros() as u64
     }
 
     /// Evicts least-recently-used sessions (never `current`) until the
@@ -868,7 +878,7 @@ impl Service {
             return;
         }
         loop {
-            let total: usize = self.sessions.values().map(|s| s.cache.approx_bytes()).sum();
+            let total: usize = self.sessions.values().map(Session::approx_bytes).sum();
             if total <= self.mem_budget {
                 return;
             }

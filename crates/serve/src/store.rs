@@ -21,8 +21,18 @@
 //!
 //! The framing — header, checksum, atomic write, typed rejection — is
 //! the workspace's one persistence idiom ([`engine::persist`]); this
-//! module owns the magic, the version and the payload schema. Every
-//! load failure — missing file, bad header, version or checksum
+//! module owns the magic, the version and the payload schema.
+//!
+//! A save costs what changed since the last one. Each bench's
+//! `"summaries"` object — about 99% of the file — is rendered once per
+//! [`StoredSummaries`] value and memoized there (summaries are
+//! immutable; an edit replaces the bench). [`Store::save`] never builds
+//! the payload tree: it renders the small per-bench fields into glue
+//! strings around the memoized objects and hands the list of parts to
+//! [`engine::persist::save`], which hashes and writes them in order.
+//! The bytes are those of rendering the whole payload at once.
+//!
+//! Every load failure — missing file, bad header, version or checksum
 //! mismatch, malformed or incomplete payload — degrades to an explicit
 //! [`LoadOutcome`] variant that the service maps to a cold start. In
 //! particular a `v1` file (CI-only summaries, pre-unification schema)
@@ -40,7 +50,7 @@ use proto::json::Value;
 use proto::{bytes_hex, fp_hex, parse_bytes_hex, parse_fp_hex};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Header magic, first field of a project file's first line.
 const STORE_MAGIC: &str = "ruf95-store";
@@ -84,8 +94,23 @@ pub struct StoredBench {
 /// than at load time — `Store::load` used to decode every bench's
 /// summary maps eagerly, which made a warm restore *slower* than a cold
 /// solve for a session that then touched one bench.
+///
+/// It also memoizes its own rendering: the `"summaries"` object is
+/// about 99% of a store file, and a save renders it once per value of
+/// this type, not once per save. The summaries never change after
+/// construction — an analyze that changes them builds a new
+/// [`StoredBench`], and a check touches only `check_fp` — so the memo
+/// cannot go stale.
 #[derive(Debug, Clone)]
-pub enum StoredSummaries {
+pub struct StoredSummaries {
+    form: SummariesForm,
+    /// The `"summaries"` object as it goes to disk, filled by the first
+    /// save.
+    rendered: OnceLock<String>,
+}
+
+#[derive(Debug, Clone)]
+enum SummariesForm {
     /// Decoded facts by solver name, ready to seed every solver's
     /// resume.
     Ready(HashMap<String, Arc<SolverSummaries>>),
@@ -93,25 +118,31 @@ pub enum StoredSummaries {
     Raw(Value),
 }
 
-impl Default for StoredSummaries {
-    fn default() -> Self {
-        StoredSummaries::Ready(HashMap::default())
-    }
-}
-
 impl StoredSummaries {
+    /// Summaries from decoded per-solver facts, keyed by solver name.
+    pub fn ready(summaries: HashMap<String, Arc<SolverSummaries>>) -> StoredSummaries {
+        StoredSummaries::new(SummariesForm::Ready(summaries))
+    }
+
+    fn new(form: SummariesForm) -> StoredSummaries {
+        StoredSummaries {
+            form,
+            rendered: OnceLock::new(),
+        }
+    }
+
     /// The decoded per-solver map, decoding (once) if this is still the
     /// raw disk form. A malformed payload decodes to no entry for that
     /// solver: the session then cold-solves with it — the store can
-    /// cost time, never correctness.
+    /// cost time, never correctness. Decoding drops the memoized
+    /// rendering, so the next save re-encodes from the decoded maps.
     pub fn decoded(&mut self) -> &HashMap<String, Arc<SolverSummaries>> {
-        if let StoredSummaries::Raw(v) = self {
-            let m = decode_summaries(v);
-            *self = StoredSummaries::Ready(m);
+        if let SummariesForm::Raw(v) = &self.form {
+            *self = StoredSummaries::ready(decode_summaries(v));
         }
-        match self {
-            StoredSummaries::Ready(m) => m,
-            StoredSummaries::Raw(_) => unreachable!("decoded above"),
+        match &self.form {
+            SummariesForm::Ready(m) => m,
+            SummariesForm::Raw(_) => unreachable!("decoded above"),
         }
     }
 
@@ -120,10 +151,20 @@ impl StoredSummaries {
     /// raw here, so re-persisting remains a verbatim re-emit and no
     /// second copy of the maps is kept (or cloned) per bench.
     pub fn decode_fresh(&self) -> HashMap<String, Arc<SolverSummaries>> {
-        match self {
-            StoredSummaries::Ready(m) => m.clone(),
-            StoredSummaries::Raw(v) => decode_summaries(v),
+        match &self.form {
+            SummariesForm::Ready(m) => m.clone(),
+            SummariesForm::Raw(v) => decode_summaries(v),
         }
+    }
+
+    /// The `"summaries"` object as compact JSON, rendered on first use:
+    /// encoded from the decoded maps, or the raw disk form re-emitted
+    /// verbatim (it round-tripped the checksum at load).
+    fn rendered(&self) -> &str {
+        self.rendered.get_or_init(|| match &self.form {
+            SummariesForm::Ready(m) => encode_summaries(m).render(),
+            SummariesForm::Raw(v) => v.render(),
+        })
     }
 }
 
@@ -134,8 +175,51 @@ pub struct StoredProject {
     /// solver spec) the artifacts were computed under; summaries are
     /// only sound seeds for an engine with the same key.
     pub spec_key: String,
-    /// One entry per benchmark, sorted by name.
+    /// One entry per benchmark, sorted and unique by name: the file
+    /// is written in this order, and [`StoredProject::bench`] and
+    /// [`StoredProject::upsert`] search it by name.
     pub benches: Vec<StoredBench>,
+}
+
+impl StoredProject {
+    /// An empty project computed under `spec_key`.
+    pub fn new(spec_key: impl Into<String>) -> StoredProject {
+        StoredProject {
+            spec_key: spec_key.into(),
+            benches: Vec::new(),
+        }
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.benches.binary_search_by(|b| b.name.as_str().cmp(name))
+    }
+
+    /// The entry for benchmark `name`.
+    pub fn bench(&self, name: &str) -> Option<&StoredBench> {
+        self.position(name).ok().map(|i| &self.benches[i])
+    }
+
+    /// The entry for benchmark `name`, mutably.
+    pub fn bench_mut(&mut self, name: &str) -> Option<&mut StoredBench> {
+        self.position(name).ok().map(|i| &mut self.benches[i])
+    }
+
+    /// Inserts `bench`, replacing the entry of the same name; keeps
+    /// `benches` sorted.
+    pub fn upsert(&mut self, bench: StoredBench) {
+        match self.position(&bench.name) {
+            Ok(i) => self.benches[i] = bench,
+            Err(i) => self.benches.insert(i, bench),
+        }
+    }
+
+    /// Bytes held by the benches' memoized summaries renderings.
+    pub fn rendered_bytes(&self) -> usize {
+        self.benches
+            .iter()
+            .map(|b| b.summaries.rendered.get().map_or(0, String::len))
+            .sum()
+    }
 }
 
 /// Result of loading a project file.
@@ -196,14 +280,46 @@ impl Store {
     }
 
     /// Persists one project's state, atomically (write temp, fsync,
-    /// rename) so a crash mid-write leaves the previous file intact.
+    /// rename, fsync the directory) so a crash mid-write leaves the
+    /// previous file intact.
+    ///
+    /// The payload is never built whole: the small per-bench fields
+    /// are rendered into short glue strings around each bench's
+    /// memoized `"summaries"` object, and [`persist::save`] hashes and
+    /// writes the parts in order. The bytes equal rendering the whole
+    /// payload as one [`Value`]. Saving fills the memo of every bench
+    /// that has none yet, in `state` itself, so a caller should pass
+    /// the state it keeps rather than a copy.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     pub fn save(&self, project: &str, state: &StoredProject) -> std::io::Result<()> {
-        let payload = encode_project(state).render();
-        persist::save(&self.path_of(project), STORE_MAGIC, STORE_VERSION, &payload)
+        // glue[i] runs from the end of bench i-1's summaries to the
+        // start of bench i's; the last one closes the document.
+        let mut glue = Vec::with_capacity(state.benches.len() + 1);
+        let mut out = String::from("{");
+        push_member(&mut out, "spec_key", &Value::str(&state.spec_key));
+        out.push_str(",\"benches\":[");
+        for (i, b) in state.benches.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_bench_head(&mut out, b);
+            glue.push(std::mem::take(&mut out));
+            out.push(',');
+            push_member(&mut out, "check_fp", &opt_fp(b.check_fp));
+            out.push('}');
+        }
+        out.push_str("]}");
+        glue.push(out);
+        let mut parts: Vec<&str> = Vec::with_capacity(2 * glue.len());
+        for (g, b) in glue.iter().zip(&state.benches) {
+            parts.push(g);
+            parts.push(b.summaries.rendered());
+        }
+        parts.push(&glue[state.benches.len()]);
+        persist::save(&self.path_of(project), STORE_MAGIC, STORE_VERSION, &parts)
     }
 
     /// Project names with a file in the store, sorted.
@@ -662,64 +778,59 @@ fn decode_summaries(v: &Value) -> HashMap<String, Arc<SolverSummaries>> {
         .collect()
 }
 
-fn encode_project(p: &StoredProject) -> Value {
-    Value::Obj(vec![
-        ("spec_key".into(), Value::str(&p.spec_key)),
-        (
-            "benches".into(),
-            Value::Arr(
-                p.benches
-                    .iter()
-                    .map(|b| {
-                        let summaries = match &b.summaries {
-                            StoredSummaries::Ready(m) => {
-                                let mut names: Vec<&String> = m.keys().collect();
-                                names.sort();
-                                Value::Obj(
-                                    names
-                                        .iter()
-                                        .map(|n| ((*n).clone(), encode_payload(&m[*n])))
-                                        .collect(),
-                                )
-                            }
-                            // Never-touched raw form: re-emit verbatim
-                            // (it round-tripped the checksum at load).
-                            StoredSummaries::Raw(v) => v.clone(),
-                        };
-                        Value::Obj(vec![
-                            ("name".into(), Value::str(&b.name)),
-                            ("source".into(), Value::str(&b.source)),
-                            ("input".into(), Value::str(bytes_hex(&b.input))),
-                            ("source_fp".into(), Value::str(fp_hex(b.source_fp))),
-                            ("graph_fp".into(), Value::str(fp_hex(b.graph_fp))),
-                            (
-                                "solutions".into(),
-                                Value::Arr(
-                                    b.solution_fps
-                                        .iter()
-                                        .map(|(a, fp)| {
-                                            Value::Obj(vec![
-                                                ("analysis".into(), Value::str(a)),
-                                                (
-                                                    "fp".into(),
-                                                    Value::opt_str(fp.map(fp_hex).as_deref()),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("summaries".into(), summaries),
-                            (
-                                "check_fp".into(),
-                                Value::opt_str(b.check_fp.map(fp_hex).as_deref()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Encodes a bench's decoded summaries as its `"summaries"` object,
+/// solvers in name order.
+fn encode_summaries(m: &HashMap<String, Arc<SolverSummaries>>) -> Value {
+    let mut names: Vec<&String> = m.keys().collect();
+    names.sort();
+    Value::Obj(
+        names
+            .iter()
+            .map(|n| ((*n).clone(), encode_payload(&m[*n])))
+            .collect(),
+    )
+}
+
+/// Appends `"key":value`, one member of a compact object exactly as
+/// [`Value::render`] writes it.
+fn push_member(out: &mut String, key: &str, value: &Value) {
+    proto::json::write_json_str(key, out);
+    out.push(':');
+    value.render_into(out);
+}
+
+fn opt_fp(fp: Option<u64>) -> Value {
+    Value::opt_str(fp.map(fp_hex).as_deref())
+}
+
+/// Appends a bench object up to its summaries:
+/// `{"name":…,"source":…,"input":…,"source_fp":…,"graph_fp":…,"solutions":[…],"summaries":`.
+/// [`Store::save`] follows it with the memoized summaries and the
+/// closing `,"check_fp":…}`.
+fn push_bench_head(out: &mut String, b: &StoredBench) {
+    out.push('{');
+    push_member(out, "name", &Value::str(&b.name));
+    out.push(',');
+    push_member(out, "source", &Value::str(&b.source));
+    out.push(',');
+    push_member(out, "input", &Value::str(bytes_hex(&b.input)));
+    out.push(',');
+    push_member(out, "source_fp", &Value::str(fp_hex(b.source_fp)));
+    out.push(',');
+    push_member(out, "graph_fp", &Value::str(fp_hex(b.graph_fp)));
+    out.push(',');
+    let solutions = b
+        .solution_fps
+        .iter()
+        .map(|(a, fp)| {
+            Value::Obj(vec![
+                ("analysis".into(), Value::str(a)),
+                ("fp".into(), opt_fp(*fp)),
+            ])
+        })
+        .collect();
+    push_member(out, "solutions", &Value::Arr(solutions));
+    out.push_str(",\"summaries\":");
 }
 
 /// Consumes the parsed payload so each bench's `"summaries"` subtree
@@ -732,10 +843,14 @@ fn decode_project(v: Value) -> Option<StoredProject> {
     let Value::Arr(items) = benches_raw else {
         return None;
     };
-    let benches = items
+    let mut benches = items
         .into_iter()
         .map(decode_bench)
         .collect::<Option<Vec<_>>>()?;
+    // Saves write benches sorted and unique by name, which the lookups
+    // rely on; restore that order for files written by other hands.
+    benches.sort_by(|a, b| a.name.cmp(&b.name));
+    benches.dedup_by(|a, b| a.name == b.name);
     Some(StoredProject { spec_key, benches })
 }
 
@@ -748,7 +863,7 @@ fn decode_bench(b: Value) -> Option<StoredBench> {
     let idx = fields.iter().position(|(k, _)| k == "summaries")?;
     let raw = fields.remove(idx).1;
     raw.as_obj()?;
-    let summaries = StoredSummaries::Raw(raw);
+    let summaries = StoredSummaries::new(SummariesForm::Raw(raw));
     let b = Value::Obj(fields);
     let solution_fps = b
         .get("solutions")?
@@ -869,6 +984,10 @@ mod tests {
         all
     }
 
+    fn raw_summaries(json: &str) -> StoredSummaries {
+        StoredSummaries::new(SummariesForm::Raw(Value::parse(json).unwrap()))
+    }
+
     fn sample_project() -> StoredProject {
         StoredProject {
             spec_key: "ci|site|none|weihl|steens|ci|k1|cs".into(),
@@ -879,7 +998,7 @@ mod tests {
                 source_fp: 7,
                 graph_fp: u64::MAX,
                 solution_fps: vec![("ci".into(), Some(42)), ("cs".into(), None)],
-                summaries: StoredSummaries::Ready(sample_summaries()),
+                summaries: StoredSummaries::ready(sample_summaries()),
                 check_fp: Some(99),
             }],
         }
@@ -898,7 +1017,7 @@ mod tests {
         assert_eq!(q.spec_key, p.spec_key);
         assert_eq!(q.benches.len(), 1);
         // Loading defers summary decoding; the first touch decodes.
-        assert!(matches!(q.benches[0].summaries, StoredSummaries::Raw(_)));
+        assert!(matches!(q.benches[0].summaries.form, SummariesForm::Raw(_)));
         let mut p = p;
         let (a, b) = (&mut p.benches[0], &mut q.benches[0]);
         assert_eq!(a.name, b.name);
@@ -938,10 +1057,39 @@ mod tests {
     }
 
     #[test]
+    fn stitched_payload_is_the_canonical_rendering_and_fills_the_memo() {
+        // Two benches, one decoded and one raw, one without a check
+        // fingerprint: the glue around the memoized summaries must
+        // yield exactly what rendering the parsed payload gives back.
+        let dir = std::env::temp_dir().join("ruf95-store-test-stitched");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let mut p = sample_project();
+        let mut raw = p.benches[0].clone();
+        raw.name = "alpha \"quoted\"".into();
+        raw.check_fp = None;
+        raw.solution_fps.clear();
+        raw.summaries = raw_summaries(&encode_summaries(&sample_summaries()).render());
+        p.upsert(raw);
+        assert_eq!(p.rendered_bytes(), 0);
+        store.save("alpha", &p).unwrap();
+        assert!(p.rendered_bytes() > 0, "save fills the memo in place");
+        let text = std::fs::read_to_string(store.path_of("alpha")).unwrap();
+        let payload = text.split_once('\n').unwrap().1.trim_end_matches('\n');
+        assert_eq!(Value::parse(payload).unwrap().render(), payload);
+        // A save from the memo writes the same bytes.
+        store.save("alpha", &p).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(store.path_of("alpha")).unwrap(),
+            text
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn malformed_summaries_decode_to_empty_not_reject() {
         let mut p = sample_project();
-        p.benches[0].summaries =
-            StoredSummaries::Raw(Value::parse("{\"ci\": {\"vocab\": \"nope\"}}").unwrap());
+        p.benches[0].summaries = raw_summaries("{\"ci\": {\"vocab\": \"nope\"}}");
         let dir = std::env::temp_dir().join("ruf95-store-test-badsum");
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
@@ -961,7 +1109,7 @@ mod tests {
         let raw = format!(
             "{{\"ci\": {good}, \"cs\": {{\"v\": 1, \"vocab\": \"cs\", \"funcs\": {{}}, \"store\": []}}}}"
         );
-        p.benches[0].summaries = StoredSummaries::Raw(Value::parse(&raw).unwrap());
+        p.benches[0].summaries = raw_summaries(&raw);
         let dir = std::env::temp_dir().join("ruf95-store-test-payloadver");
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();

@@ -400,6 +400,82 @@ fn golden_v2_store_restores_to_the_recorded_fingerprints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The memoized summaries rendering behind the store write-through
+/// cannot go stale. A stale memo would move no fingerprint (stale seeds
+/// only cost reuse), so the check is on the store bytes: over a seeded
+/// edit chain of one bench among three, with a check every few steps,
+///
+/// - a service that runs throughout (warm memos, reused across saves)
+/// - and a service rebuilt from its own store before every request
+///   (every memo cold: rendered from the raw disk form or from freshly
+///   decoded maps)
+///
+/// write byte-identical store files after every step. Then the final
+/// file, loaded and re-saved with every bench forced through
+/// `StoredSummaries::decoded()`, must come back byte for byte.
+#[test]
+fn memoized_store_writes_match_cold_renders_byte_for_byte() {
+    let jobs = suite_jobs(3);
+    let edited = 1;
+    let chain = suite::edit::edit_chain(&jobs[edited].source, 0x5eed_0014, 12);
+    assert!(chain.len() >= 12, "edit chain too short: {}", chain.len());
+    let (warm_dir, cold_dir) = (temp_dir("memo-warm"), temp_dir("memo-cold"));
+    let file_in = |dir: &Path| Store::open(dir).expect("open store").path_of("proj");
+    let mut warm = service(&warm_dir);
+    let sources =
+        std::iter::once(jobs[edited].source.clone()).chain(chain.iter().map(|s| s.source.clone()));
+    for (i, source) in sources.enumerate() {
+        let mut step_jobs = jobs.clone();
+        step_jobs[edited].source = source;
+        let req = if i % 4 == 3 {
+            Request::Check {
+                project: "proj".into(),
+                jobs: step_jobs,
+                analysis: "ci".into(),
+                want_report: false,
+            }
+        } else {
+            Request::Analyze {
+                project: "proj".into(),
+                jobs: step_jobs,
+                fresh: false,
+                want_report: false,
+            }
+        };
+        for resp in [warm.handle(&req), service(&cold_dir).handle(&req)] {
+            assert!(
+                !matches!(resp, Response::Error { .. }),
+                "step {i}: {resp:?}"
+            );
+        }
+        let (a, b) = (
+            std::fs::read(file_in(&warm_dir)).unwrap(),
+            std::fs::read(file_in(&cold_dir)).unwrap(),
+        );
+        assert!(a == b, "step {i}: warm and cold store files differ");
+    }
+
+    let store = Store::open(&warm_dir).unwrap();
+    let LoadOutcome::Loaded(mut project) = store.load("proj") else {
+        panic!("the written store must load");
+    };
+    for b in &mut project.benches {
+        b.summaries.decoded();
+    }
+    let resaved_dir = temp_dir("memo-decoded");
+    Store::open(&resaved_dir)
+        .unwrap()
+        .save("proj", &project)
+        .unwrap();
+    assert!(
+        std::fs::read(file_in(&resaved_dir)).unwrap() == std::fs::read(file_in(&warm_dir)).unwrap(),
+        "re-encoding the decoded summaries moved bytes"
+    );
+    for dir in [warm_dir, cold_dir, resaved_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// Stale stored summaries must never leak into answers for changed
 /// source: the service recomputes everything the summaries merely seed.
 #[test]
