@@ -37,7 +37,7 @@ use crate::report::IncrementalStats;
 use crate::{compose, pool, BenchOutput, Engine, EngineReport, EngineRun, Job, Solved};
 use alias::ci::CiResult;
 use alias::fingerprint::{fnv64, GraphIndex};
-use alias::solver::{SolutionBox, SolverKind};
+use alias::solver::{Solution, SolutionBox, SolverKind};
 use alias::summary::{ResumeStats, SolverSummaries};
 use alias::{AnalysisError, ResumeRefusal, SolverSpec};
 use std::collections::HashMap;
@@ -163,10 +163,18 @@ impl SolveMode {
     }
 }
 
-/// What [`SummaryCache::summaries_of`] hands a persistent store: the
-/// source hash and graph fingerprint one benchmark's summaries were
-/// extracted under, plus the per-solver summary maps themselves.
-pub type StoredSummaries = (u64, u64, HashMap<String, Arc<SolverSummaries>>);
+/// One benchmark's memoized summaries as [`SummaryCache::summaries_of`]
+/// lends them to a persistent store: the maps plus the source hash and
+/// graph fingerprint they were extracted under.
+#[derive(Debug, Clone, Copy)]
+pub struct CachedSummaries<'a> {
+    /// FNV-64 of the source the summaries were extracted from.
+    pub source_hash: u64,
+    /// VDG content fingerprint of that source's graph.
+    pub graph_fp: u64,
+    /// Per-solver summaries by [`SolverKind::name`].
+    pub summaries: &'a HashMap<String, Arc<SolverSummaries>>,
+}
 
 /// One benchmark's memoized artifacts from a previous run.
 struct ProgramEntry {
@@ -225,13 +233,6 @@ impl SummaryCache {
     /// into an engine with different solver knobs.
     pub fn spec_key(&self) -> &str {
         &self.spec_key
-    }
-
-    /// Benchmark names with cached artifacts, sorted.
-    pub fn bench_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.entries.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Order-of-magnitude estimate of this cache's resident memory, in
@@ -300,10 +301,26 @@ impl SummaryCache {
     /// and graph fingerprint they were extracted under — everything a
     /// persistent store needs to rebuild the entry via
     /// [`SummaryCache::seed_restored`].
-    pub fn summaries_of(&self, name: &str) -> Option<StoredSummaries> {
-        self.entries
-            .get(name)
-            .map(|e| (e.source_hash, e.graph_fp, e.summaries.clone()))
+    pub fn summaries_of(&self, name: &str) -> Option<CachedSummaries<'_>> {
+        self.entries.get(name).map(|e| CachedSummaries {
+            source_hash: e.source_hash,
+            graph_fp: e.graph_fp,
+            summaries: &e.summaries,
+        })
+    }
+
+    /// The graph of benchmark `name`'s last run in this cache. `None`
+    /// for an unknown benchmark or a restored, summaries-only entry.
+    pub fn graph(&self, name: &str) -> Option<&Graph> {
+        self.entries.get(name)?.arts.as_ref().map(|a| &*a.graph)
+    }
+
+    /// The `analysis` solution of benchmark `name`'s last run in this
+    /// cache, if that solve succeeded. `None` also for a restored,
+    /// summaries-only entry.
+    pub fn solution(&self, name: &str, analysis: &str) -> Option<&dyn Solution> {
+        let a = self.entries.get(name)?.arts.as_ref()?;
+        a.solutions.get(analysis).map(|s| &**s)
     }
 
     /// Memoizes every benchmark of `run`: per-solver summaries are
@@ -1006,10 +1023,10 @@ mod tests {
         let mut cache = e.cache();
         let jobs = vec![job("t", A)];
         e.analyze_incremental_with(&mut cache, &jobs).unwrap();
-        let (sh, gfp, sums) = cache.summaries_of("t").expect("absorbed");
-        assert!(sums.len() >= 5, "all five vocabularies extracted");
+        let s = cache.summaries_of("t").expect("absorbed");
+        assert!(s.summaries.len() >= 5, "all five vocabularies extracted");
         let mut cache2 = e.cache();
-        cache2.seed_restored("t", sh, gfp, sums);
+        cache2.seed_restored("t", s.source_hash, s.graph_fp, s.summaries.clone());
         let r = e.analyze_incremental_with(&mut cache2, &jobs).unwrap();
         for s in &r.benches[0].solutions {
             assert!(

@@ -7,30 +7,33 @@
 //! serialized, so N interleaved clients observe exactly the answers a
 //! serial caller would.
 //!
-//! Sessions: each named project owns a [`engine::SummaryCache`] (and a
-//! check cache, and the solved [`engine::BenchOutput`]s for demand
-//! queries), isolated from every other project. Under a configured
-//! memory budget the least-recently-used sessions are evicted; their
-//! disk-store state survives, so the next request warm-starts instead
-//! of cold-starting.
+//! Sessions: each named project owns a [`engine::SummaryCache`] (whose
+//! live entries hold the last run's graphs and solutions, which answer
+//! exhaustive queries), a check cache, the project's persisted view and
+//! its demand-query states, isolated from every other project. Under a
+//! configured memory budget the least-recently-used sessions are
+//! evicted; their disk-store state survives, so the next request
+//! warm-starts instead of cold-starting.
 //!
-//! Persistence is write-through: after every analyze/check that
-//! changed something the project's summaries, solution fingerprints,
-//! and check fingerprints go to the [`crate::store::Store`], before the
-//! response is built, so an analyze response reports the write's cost
-//! as `store_us` apart from `latency_us`. The session's persisted view
-//! is saved in place, so only the benches a request changed render
-//! their summaries again. A restored session seeds the
-//! tier-3 CI resume from the stored summaries; the engine recompiles
-//! and re-verifies everything, so a corrupt or stale store can cost
-//! time, never correctness.
+//! Analyze and check share one run-and-refresh step: every run that
+//! changes the cache also brings the persisted view up to date.
+//! Persistence is write-through: after every analyze/check that changed
+//! something the project's summaries, solution fingerprints, and check
+//! fingerprints go to the [`crate::store::Store`], before the response
+//! is built, so an analyze response reports the write's cost as
+//! `store_us` apart from `latency_us`. The session's persisted view is saved in place, so
+//! only the benches a request changed render their summaries again. A
+//! restored session seeds the tier-3 CI resume from the stored
+//! summaries; the engine recompiles and re-verifies everything, so a
+//! corrupt or stale store can cost time, never correctness.
 
 use crate::store::{LoadOutcome, Store, StoredBench, StoredProject, StoredSummaries};
 use alias::fingerprint::{fnv64, stable_base_key, Fnv64, GraphIndex};
-use alias::solver::solution_fingerprint;
+use alias::solver::{solution_fingerprint, Solution};
 use alias::{DemandConfig, DemandState};
 use engine::check::{diagnostics_json, fp_monotone_violation, render_diagnostics, BenchChecks};
-use engine::{BenchOutput, CheckCache, EngineRun, Job, SummaryCache};
+use engine::incremental::CachedSummaries;
+use engine::{BenchOutput, CheckCache, EngineRun, Job, SolveMode, SummaryCache};
 use proto::json::Value;
 use proto::{
     fp_hex, BenchCheckInfo, BenchFps, JobSpec, ProjectStats, QueryAnswer, QueryKind, Request,
@@ -38,6 +41,7 @@ use proto::{
 };
 use std::collections::HashMap;
 use std::time::Instant;
+use vdg::graph::{BaseId, Graph, NodeId};
 
 /// Configuration for a [`Service`].
 #[derive(Default)]
@@ -52,13 +56,16 @@ pub struct ServiceOptions {
 
 /// One project's in-memory session.
 struct Session {
+    /// Summaries of every benchmark this session has run or seeded,
+    /// plus the last run's graph and solutions for each one it has run.
     cache: SummaryCache,
     check_cache: CheckCache,
-    /// Last solved outputs by benchmark name, for demand queries.
-    benches: HashMap<String, BenchOutput>,
-    /// Persisted view of the project, one entry per benchmark, each
-    /// rebuilt when an analyze changes it. Saved in place, so the
-    /// entries keep their memoized summaries rendering across saves.
+    /// Persisted view of the project, one entry per benchmark, brought
+    /// up to date by every analyze and check. Saved in place, so the
+    /// entries keep their memoized summaries rendering across saves. A
+    /// benchmark here but not yet in `cache` was restored from disk;
+    /// its summaries stay raw until a run touches it (a session that
+    /// only fields demand queries never pays for decoding at all).
     stored: StoredProject,
     last_used: Instant,
     /// Whether this session was seeded from the disk store.
@@ -67,17 +74,6 @@ struct Session {
     /// successful save. A pure-replay request leaves it clear, so warm
     /// requests skip the store write entirely.
     dirty: bool,
-    /// Memoized per-solver fingerprints and pair counts, keyed by
-    /// benchmark name and guarded by (source_fp, graph_fp). Solutions
-    /// are a deterministic function of the source, so a replayed bench
-    /// reuses its fingerprints instead of re-walking every solution —
-    /// the dominant cost of a warm analyze response.
-    fps_memo: HashMap<String, FpsMemo>,
-    /// Benchmarks restored from disk whose summaries are still raw:
-    /// decoded and seeded into the cache on the first analyze/check
-    /// that touches them, not at session creation (a session that only
-    /// fields demand queries never pays for decoding at all).
-    pending_restore: std::collections::HashSet<String>,
     /// Demand-query state per benchmark: the compiled graph plus the
     /// growing partial solution, for queries that arrive before any
     /// exhaustive analyze.
@@ -107,16 +103,18 @@ struct DemandBench {
     /// (edited store entry, different inline job) rebuilds the state.
     source_fp: u64,
     source: String,
-    graph: vdg::graph::Graph,
+    graph: Graph,
     state: DemandState,
 }
 
-/// Cached fingerprint work for one benchmark (see [`Session::fps_memo`]).
-struct FpsMemo {
-    source_fp: u64,
-    graph_fp: u64,
-    /// Per analysis: (name, solution fingerprint, pair count).
-    solvers: Vec<(String, Option<u64>, Option<u64>)>,
+/// What [`Service::run_jobs`] hands back to analyze and check.
+struct Ran {
+    run: EngineRun,
+    /// Per-benchmark fingerprints, in job order.
+    fps: Vec<BenchFps>,
+    /// The run's reuse counters and the session's counters, with the
+    /// latency up to the solved results.
+    serve: ServeInfo,
 }
 
 /// The persistent analysis service.
@@ -208,9 +206,10 @@ impl Service {
     }
 
     /// Fetches or creates a project's session. A new session whose
-    /// project has compatible disk-store state is seeded with the
-    /// stored summaries, so its first analyze resumes instead of
-    /// re-solving.
+    /// project has compatible disk-store state takes the stored view
+    /// as its own; [`Service::run_jobs`] seeds each restored bench into
+    /// the cache on first touch, so its first analyze resumes instead
+    /// of re-solving.
     // The error arm intentionally carries the full typed Response.
     #[allow(clippy::result_large_err)]
     fn ensure_session(&mut self, project: &str) -> Result<(), Response> {
@@ -225,13 +224,10 @@ impl Service {
             let mut session = Session {
                 cache,
                 check_cache: CheckCache::default(),
-                benches: HashMap::new(),
                 stored,
                 last_used: Instant::now(),
                 restored: false,
                 dirty: false,
-                fps_memo: HashMap::new(),
-                pending_restore: std::collections::HashSet::new(),
                 demand: HashMap::new(),
                 restore_us: 0,
                 demand_hits: 0,
@@ -242,11 +238,6 @@ impl Service {
                 let t = Instant::now();
                 if let LoadOutcome::Loaded(p) = store.load(project) {
                     if p.spec_key == session.cache.spec_key() {
-                        // Summaries stay raw here; the first analyze or
-                        // check touching a bench decodes and seeds it
-                        // (see seed_pending).
-                        session.pending_restore =
-                            p.benches.iter().map(|b| b.name.clone()).collect();
                         session.stored = p;
                         session.restored = true;
                     }
@@ -265,15 +256,28 @@ impl Service {
         Ok(())
     }
 
-    /// Decodes and seeds the stored summaries of any of `names` this
-    /// session restored from disk but has not yet touched — the lazy
-    /// half of the restore that [`Service::ensure_session`] defers.
-    fn seed_pending<'n>(session: &mut Session, names: impl Iterator<Item = &'n str>) {
-        for name in names {
-            if !session.pending_restore.remove(name) {
+    /// The one run-and-refresh step of analyze and check. Converts the
+    /// jobs, seeds every job's bench the stored view holds but the
+    /// cache does not (restored from disk, untouched until now) and
+    /// runs the jobs incrementally against the session cache. Then
+    /// fingerprints each bench, brings its stored entry up to date and
+    /// drops the demand state the run supersedes. The caller persists.
+    #[allow(clippy::result_large_err)]
+    fn run_jobs(
+        &mut self,
+        what: &str,
+        project: &str,
+        jobs: &[JobSpec],
+        t0: Instant,
+    ) -> Result<Ran, Response> {
+        let jobs = engine_jobs(what, jobs)?;
+        self.ensure_session(project)?;
+        let session = self.sessions.get_mut(project).expect("ensured above");
+        for job in &jobs {
+            if session.cache.summaries_of(&job.name).is_some() {
                 continue;
             }
-            let Some(b) = session.stored.bench(name) else {
+            let Some(b) = session.stored.bench(&job.name) else {
                 continue;
             };
             let t = Instant::now();
@@ -283,6 +287,44 @@ impl Service {
                 .seed_restored(&b.name, b.source_fp, b.graph_fp, summaries);
             session.restore_us += t.elapsed().as_micros() as u64;
         }
+        let run = self
+            .engine
+            .analyze_incremental_with(&mut session.cache, &jobs)
+            .map_err(|e| err(format!("{what}: {e}")))?;
+        let st = run.report.incremental.clone().unwrap_or_default();
+        let serve = ServeInfo {
+            latency_us: t0.elapsed().as_micros() as u64,
+            benches_replayed: st.benches_replayed as u64,
+            benches_seeded: st.benches_seeded as u64,
+            benches_fresh: st.benches_fresh as u64,
+            solutions_replayed: st.solutions_replayed as u64,
+            funcs_reused: st.funcs_reused as u64,
+            funcs_dirty: st.funcs_dirty as u64,
+            restored: session.restored,
+            demand_hits: session.demand_hits,
+            demand_fallbacks: session.demand_fallbacks,
+            demand_budget_exhausted: session.demand_budget_exhausted,
+            restore_us: session.restore_us,
+            store_us: 0,
+        };
+        let mut fps = Vec::with_capacity(run.benches.len());
+        for b in &run.benches {
+            let cached = session
+                .cache
+                .summaries_of(&b.name)
+                .expect("the run absorbed every job");
+            let bench = bench_fps(
+                b,
+                cached.source_hash,
+                cached.graph_fp,
+                session.stored.bench(&b.name),
+            );
+            session.dirty |= refresh_stored(&mut session.stored, b, &bench, cached);
+            // The solved output answers future queries by lookup.
+            session.demand.remove(&b.name);
+            fps.push(bench);
+        }
+        Ok(Ran { run, fps, serve })
     }
 
     fn analyze(
@@ -293,138 +335,17 @@ impl Service {
         want_report: bool,
     ) -> Response {
         let t0 = Instant::now();
-        if jobs.is_empty() {
-            return err("analyze: empty job list");
-        }
-        let engine_jobs: Vec<Job> = jobs
-            .iter()
-            .map(|j| {
-                let mut job = Job::new(&j.name, &j.source);
-                job.input = j.input.clone();
-                job
-            })
-            .collect();
         if fresh {
-            // Cache-bypassing cross-check: solve from scratch without
-            // touching (or requiring) the session.
-            let run = match self.engine.run(&engine_jobs) {
-                Ok(r) => r,
-                Err(e) => return err(format!("analyze: {e}")),
-            };
-            let benches = run.benches.iter().map(|b| bench_fps(b, None)).collect();
-            return Response::Analyzed {
-                project: project.to_string(),
-                benches,
-                report_fp: fp_hex(fnv64(run.report.fingerprint().as_bytes())),
-                report: want_report
-                    .then(|| Value::parse(&run.report.to_json()).ok())
-                    .flatten(),
-                serve: ServeInfo {
-                    latency_us: t0.elapsed().as_micros() as u64,
-                    benches_fresh: run.benches.len() as u64,
-                    ..ServeInfo::default()
-                },
-            };
+            return self.analyze_fresh(project, jobs, want_report, t0);
         }
-        if let Err(e) = self.ensure_session(project) {
-            return e;
-        }
-        let session = self.sessions.get_mut(project).expect("ensured above");
-        let restored = session.restored;
-        Self::seed_pending(session, jobs.iter().map(|j| j.name.as_str()));
-        let engine = &self.engine;
-        let mut run = match engine.analyze_incremental_with(&mut session.cache, &engine_jobs) {
-            Ok(r) => r,
-            Err(e) => return err(format!("analyze: {e}")),
+        let Ran {
+            mut run,
+            fps,
+            mut serve,
+        } = match self.run_jobs("analyze", project, jobs, t0) {
+            Ok(ran) => ran,
+            Err(e) => return e,
         };
-        let mut serve = serve_info(&run, restored);
-        serve.latency_us = t0.elapsed().as_micros() as u64;
-        serve.demand_hits = session.demand_hits;
-        serve.demand_fallbacks = session.demand_fallbacks;
-        serve.demand_budget_exhausted = session.demand_budget_exhausted;
-        serve.restore_us = session.restore_us;
-        // (source_fp, graph_fp) per bench, from the cache when it has
-        // the entry (it was just computed there).
-        let keys: Vec<(u64, u64)> = run
-            .benches
-            .iter()
-            .map(|b| match session.cache.summaries_of(&b.name) {
-                Some((s, g, _)) => (s, g),
-                None => (
-                    fnv64(b.source.as_bytes()),
-                    GraphIndex::build(&b.graph).graph_fp,
-                ),
-            })
-            .collect();
-        let benches: Vec<BenchFps> = run
-            .benches
-            .iter()
-            .zip(&keys)
-            .map(|(b, &(source_fp, graph_fp))| {
-                bench_fps_memo(b, source_fp, graph_fp, &mut session.fps_memo)
-            })
-            .collect();
-        // Refresh the persisted view of every benchmark this request
-        // touched, then write the project through to disk — but only if
-        // something actually changed. A pure tier-1 replay must not pay
-        // for cloning summary maps or rewriting the store file; that
-        // write-through cost would otherwise dominate warm latency.
-        for ((b, fps), &(source_fp, graph_fp)) in run.benches.iter().zip(&benches).zip(&keys) {
-            let solution_fps: Vec<(String, Option<u64>)> = fps
-                .solvers
-                .iter()
-                .map(|s| {
-                    (
-                        s.analysis.clone(),
-                        s.fp.as_deref().and_then(proto::parse_fp_hex),
-                    )
-                })
-                .collect();
-            let prev = session.stored.bench(&b.name);
-            // Checks are keyed by source and input; an edit invalidates
-            // the stored check fingerprint.
-            let check_fp = prev.and_then(|old| {
-                old.check_fp
-                    .filter(|_| old.source == b.source && old.input == b.input)
-            });
-            // Summaries are content-addressed by per-function
-            // fingerprint: matching source and graph fingerprints imply
-            // matching summaries, so an entry that agrees on every
-            // cheap field needs no rebuild.
-            let unchanged = prev.is_some_and(|old| {
-                old.source_fp == source_fp
-                    && old.graph_fp == graph_fp
-                    && old.source == b.source
-                    && old.input == b.input
-                    && old.solution_fps == solution_fps
-                    && old.check_fp == check_fp
-            });
-            if unchanged {
-                continue;
-            }
-            let summaries = session
-                .cache
-                .summaries_of(&b.name)
-                .map(|(_, _, m)| m)
-                .unwrap_or_default();
-            session.stored.upsert(StoredBench {
-                name: b.name.clone(),
-                source: b.source.clone(),
-                input: b.input.clone(),
-                source_fp,
-                graph_fp,
-                solution_fps,
-                summaries: StoredSummaries::ready(summaries),
-                check_fp,
-            });
-            session.dirty = true;
-        }
-        for b in std::mem::take(&mut run.benches) {
-            // The solved output supersedes any demand-query state (and
-            // answers future queries by lookup).
-            session.demand.remove(&b.name);
-            session.benches.insert(b.name.clone(), b);
-        }
         // The store write precedes the response so it can report its
         // own cost.
         serve.store_us = self.persist(project);
@@ -432,7 +353,7 @@ impl Service {
             latency_us: serve.latency_us,
             benches_replayed: serve.benches_replayed as usize,
             solutions_replayed: serve.solutions_replayed as usize,
-            restored,
+            restored: serve.restored,
             demand_hits: serve.demand_hits,
             demand_fallbacks: serve.demand_fallbacks,
             demand_budget_exhausted: serve.demand_budget_exhausted,
@@ -446,10 +367,50 @@ impl Service {
         self.enforce_budget(project);
         Response::Analyzed {
             project: project.to_string(),
-            benches,
+            benches: fps,
             report_fp,
             report,
             serve,
+        }
+    }
+
+    /// Cache-bypassing cross-check: solves from scratch without
+    /// touching (or requiring) the session.
+    fn analyze_fresh(
+        &self,
+        project: &str,
+        jobs: &[JobSpec],
+        want_report: bool,
+        t0: Instant,
+    ) -> Response {
+        let jobs = match engine_jobs("analyze", jobs) {
+            Ok(jobs) => jobs,
+            Err(e) => return e,
+        };
+        let run = match self.engine.run(&jobs) {
+            Ok(r) => r,
+            Err(e) => return err(format!("analyze: {e}")),
+        };
+        let benches = run
+            .benches
+            .iter()
+            .map(|b| {
+                let graph_fp = GraphIndex::build(&b.graph).graph_fp;
+                bench_fps(b, fnv64(b.source.as_bytes()), graph_fp, None)
+            })
+            .collect();
+        Response::Analyzed {
+            project: project.to_string(),
+            benches,
+            report_fp: fp_hex(fnv64(run.report.fingerprint().as_bytes())),
+            report: want_report
+                .then(|| Value::parse(&run.report.to_json()).ok())
+                .flatten(),
+            serve: ServeInfo {
+                latency_us: t0.elapsed().as_micros() as u64,
+                benches_fresh: run.benches.len() as u64,
+                ..ServeInfo::default()
+            },
         }
     }
 
@@ -460,27 +421,11 @@ impl Service {
         analysis: &str,
         want_report: bool,
     ) -> Response {
-        if jobs.is_empty() {
-            return err("check: empty job list");
-        }
-        let engine_jobs: Vec<Job> = jobs
-            .iter()
-            .map(|j| {
-                let mut job = Job::new(&j.name, &j.source);
-                job.input = j.input.clone();
-                job
-            })
-            .collect();
-        if let Err(e) = self.ensure_session(project) {
-            return e;
-        }
-        let session = self.sessions.get_mut(project).expect("ensured above");
-        Self::seed_pending(session, jobs.iter().map(|j| j.name.as_str()));
-        let engine = &self.engine;
-        let mut run = match engine.analyze_incremental_with(&mut session.cache, &engine_jobs) {
-            Ok(r) => r,
-            Err(e) => return err(format!("check: {e}")),
+        let mut run = match self.run_jobs("check", project, jobs, Instant::now()) {
+            Ok(ran) => ran.run,
+            Err(e) => return e,
         };
+        let session = self.sessions.get_mut(project).expect("run above");
         let checks = run.run_checks_cached(&mut session.check_cache);
         let benches: Vec<BenchCheckInfo> = run
             .benches
@@ -507,7 +452,8 @@ impl Service {
             })
             .collect();
         // Per-bench diagnostics fingerprints feed both the response's
-        // combined check_fp and the persisted per-bench check_fp.
+        // combined check_fp and the persisted per-bench check_fp, which
+        // goes onto entries the run has just brought up to date.
         let mut combined = Fnv64::new();
         for (b, bc) in run.benches.iter().zip(&checks) {
             let bench_fp = check_fingerprint(b, bc);
@@ -531,17 +477,12 @@ impl Service {
         let report = want_report
             .then(|| Value::parse(&run.report.to_json()).ok())
             .flatten();
-        let check_fp = fp_hex(combined.finish());
-        for b in run.benches {
-            session.demand.remove(&b.name);
-            session.benches.insert(b.name.clone(), b);
-        }
         self.persist(project);
         self.enforce_budget(project);
         Response::Checked {
             project: project.to_string(),
             benches,
-            check_fp,
+            check_fp: fp_hex(combined.finish()),
             monotone_violation,
             refuted,
             report,
@@ -564,7 +505,7 @@ impl Service {
         // fixpoint, microsecond first-query latency. (`demand` names
         // the path explicitly; `ci` takes it because the demand answers
         // are exactly the CI answers.)
-        let solved = self.sessions[project].benches.contains_key(bench);
+        let solved = self.sessions[project].cache.graph(bench).is_some();
         if !solved && matches!(analysis, "ci" | "demand") {
             return self.query_demand(project, bench, analysis, query, job);
         }
@@ -582,104 +523,36 @@ impl Service {
                     input: b.input.clone(),
                 })
                 .or_else(|| job.cloned());
-            match stored_job {
-                Some(job) => {
-                    if let Response::Error { message } = self.analyze(project, &[job], false, false)
-                    {
-                        return err(format!("query: demand analyze failed: {message}"));
-                    }
-                }
-                None => {
-                    return err(format!(
-                        "query: benchmark {bench:?} has not been analyzed in project \
-                         {project:?} (send an analyze request first)"
-                    ))
-                }
+            let Some(job) = stored_job else {
+                return not_analyzed(project, bench, "");
+            };
+            if let Response::Error { message } = self.analyze(project, &[job], false, false) {
+                return err(format!("query: demand analyze failed: {message}"));
             }
         }
-        if let Err(e) = self.ensure_session(project) {
-            return e;
-        }
-        let session = self.sessions.get_mut(project).expect("ensured above");
-        let b = session.benches.get(bench).expect("analyzed above");
+        let session = &self.sessions[project];
+        // Every run refreshes the stored view, so a bench with a live
+        // graph has a stored entry holding the source it was run on.
+        let (Some(graph), Some(stored)) = (session.cache.graph(bench), session.stored.bench(bench))
+        else {
+            return not_analyzed(project, bench, "");
+        };
         // "demand" is query vocabulary, not a solved spectrum; its
         // exhaustive twin is plain CI.
         let lookup = if analysis == "demand" { "ci" } else { analysis };
-        let Some(sol) = b.solution(lookup) else {
+        let Some(mut sol) = session.cache.solution(bench, lookup) else {
             return err(format!(
                 "query: no {lookup:?} solution for {bench:?} (failed solve or unknown analysis)"
             ));
         };
-        let sites = b.graph.indirect_mem_ops();
-        let file = cfront::SourceFile::new(&b.name, &b.source);
-        #[allow(clippy::result_large_err)]
-        let site_info = |i: usize| -> Result<SiteInfo, Response> {
-            let &(node, is_write) = sites.get(i).ok_or_else(|| {
-                err(format!(
-                    "query: site index {i} out of range ({} indirect refs in {bench:?})",
-                    sites.len()
-                ))
-            })?;
-            let lc = file.line_col(b.graph.node(node).span.start);
-            Ok(SiteInfo {
-                index: i,
-                line: lc.line,
-                col: lc.col,
-                kind: if is_write { "write" } else { "read" }.to_string(),
-            })
-        };
-        let answer = match *query {
-            QueryKind::MayAlias { a, b: bi } => {
-                let (sa, sb) = match (site_info(a), site_info(bi)) {
-                    (Ok(x), Ok(y)) => (x, y),
-                    (Err(e), _) | (_, Err(e)) => return e,
-                };
-                let bases_a = sol.loc_referent_bases(&b.graph, sites[a].0);
-                let bases_b = sol.loc_referent_bases(&b.graph, sites[bi].0);
-                // Both sides sorted+deduped by the Solution contract.
-                let witnesses: Vec<String> = bases_a
-                    .iter()
-                    .filter(|x| bases_b.binary_search(x).is_ok())
-                    .map(|&x| stable_base_key(&b.graph, x))
-                    .collect();
-                QueryAnswer::MayAlias {
-                    may_alias: !witnesses.is_empty(),
-                    witnesses,
-                    a: sa,
-                    b: sb,
-                }
-            }
-            QueryKind::ReferentsAt { site } => {
-                let info = match site_info(site) {
-                    Ok(x) => x,
-                    Err(e) => return e,
-                };
-                let node = sites[site].0;
-                // Path-granular when the solver has per-point sets,
-                // stable base keys for the unification baseline.
-                let mut referents: Vec<String> =
-                    match (sol.referents_at(&b.graph, node), sol.path_universe()) {
-                        (Some(paths), Some(table)) => {
-                            paths.iter().map(|&p| table.display(p, &b.graph)).collect()
-                        }
-                        _ => sol
-                            .loc_referent_bases(&b.graph, node)
-                            .iter()
-                            .map(|&x| stable_base_key(&b.graph, x))
-                            .collect(),
-                    };
-                referents.sort();
-                QueryAnswer::Referents {
-                    site: info,
-                    referents,
-                }
-            }
-        };
-        Response::QueryResult {
-            bench: bench.to_string(),
-            analysis: analysis.to_string(),
-            answer,
-            demand: false,
+        match answer_query(bench, graph, &stored.source, query, &mut sol) {
+            Ok(answer) => Response::QueryResult {
+                bench: bench.to_string(),
+                analysis: analysis.to_string(),
+                answer,
+                demand: false,
+            },
+            Err(e) => e,
         }
     }
 
@@ -689,8 +562,8 @@ impl Service {
     /// the query touches. The source comes from the persisted store
     /// when the bench is known there, else from the request's inline
     /// job. Solved state is memoized per bench, so repeated queries
-    /// widen (never recompute) the solved region; a later exhaustive
-    /// analyze evicts the entry.
+    /// widen (never recompute) the solved region; a later analyze or
+    /// check evicts the entry.
     fn query_demand(
         &mut self,
         project: &str,
@@ -704,12 +577,7 @@ impl Service {
             Some(b) => (b.source.clone(), b.source_fp),
             None => match job {
                 Some(j) => (j.source.clone(), fnv64(j.source.as_bytes())),
-                None => {
-                    return err(format!(
-                        "query: benchmark {bench:?} has not been analyzed in project \
-                         {project:?} (send an analyze request first or include the source)"
-                    ))
-                }
+                None => return not_analyzed(project, bench, " or include the source"),
             },
         };
         // (Re)build the demand bench on first touch or source change.
@@ -744,68 +612,20 @@ impl Service {
             );
         }
         let db = session.demand.get_mut(bench).expect("inserted above");
-        let sites = db.graph.indirect_mem_ops();
-        let file = cfront::SourceFile::new(bench, &db.source);
-        #[allow(clippy::result_large_err)]
-        let site_info = |i: usize| -> Result<SiteInfo, Response> {
-            let &(node, is_write) = sites.get(i).ok_or_else(|| {
-                err(format!(
-                    "query: site index {i} out of range ({} indirect refs in {bench:?})",
-                    sites.len()
-                ))
-            })?;
-            let lc = file.line_col(db.graph.node(node).span.start);
-            Ok(SiteInfo {
-                index: i,
-                line: lc.line,
-                col: lc.col,
-                kind: if is_write { "write" } else { "read" }.to_string(),
-            })
-        };
         let before = db.state.stats();
-        let answer = match *query {
-            QueryKind::MayAlias { a, b: bi } => {
-                let (sa, sb) = match (site_info(a), site_info(bi)) {
-                    (Ok(x), Ok(y)) => (x, y),
-                    (Err(e), _) | (_, Err(e)) => return e,
-                };
-                let (may, bases) = db.state.may_alias(&db.graph, sites[a].0, sites[bi].0);
-                let witnesses: Vec<String> = bases
-                    .iter()
-                    .map(|&x| stable_base_key(&db.graph, x))
-                    .collect();
-                QueryAnswer::MayAlias {
-                    may_alias: may,
-                    witnesses,
-                    a: sa,
-                    b: sb,
-                }
-            }
-            QueryKind::ReferentsAt { site } => {
-                let info = match site_info(site) {
-                    Ok(x) => x,
-                    Err(e) => return e,
-                };
-                let node = sites[site].0;
-                // Already path-granular, display-rendered, and sorted —
-                // byte-identical to the exhaustive CI rendering.
-                QueryAnswer::Referents {
-                    site: info,
-                    referents: db.state.loc_referents_rendered(&db.graph, node),
-                }
-            }
+        let answer = match answer_query(bench, &db.graph, &db.source, query, &mut db.state) {
+            Ok(answer) => answer,
+            Err(e) => return e,
         };
         let after = db.state.stats();
-        let hit = after.demand_hits > before.demand_hits;
         session.demand_hits += after.demand_hits - before.demand_hits;
         session.demand_fallbacks += after.fallbacks - before.fallbacks;
         session.demand_budget_exhausted += after.budget_exhausted - before.budget_exhausted;
-        session.last_used = Instant::now();
         Response::QueryResult {
             bench: bench.to_string(),
             analysis: analysis.to_string(),
             answer,
-            demand: hit,
+            demand: after.demand_hits > before.demand_hits,
         }
     }
 
@@ -901,76 +721,43 @@ impl Service {
     }
 }
 
-/// Per-benchmark fingerprints for an analyze response. `graph_fp` comes
-/// from the session cache when available (it was just computed there);
-/// fresh cross-check runs rebuild the index.
-fn bench_fps(b: &BenchOutput, cached_graph_fp: Option<u64>) -> BenchFps {
-    let graph_fp = cached_graph_fp.unwrap_or_else(|| GraphIndex::build(&b.graph).graph_fp);
-    BenchFps {
-        name: b.name.clone(),
-        source_fp: fp_hex(fnv64(b.source.as_bytes())),
-        graph_fp: fp_hex(graph_fp),
-        solvers: b
-            .solutions
-            .iter()
-            .map(|s| SolverFp {
-                analysis: s.analysis.clone(),
-                fp: s
-                    .solution
-                    .as_deref()
-                    .map(|sol| fp_hex(solution_fingerprint(sol, &b.graph))),
-                mode: s.mode.as_ref().map(|m| m.render()),
-                pairs: s
-                    .solution
-                    .as_deref()
-                    .and_then(|sol| sol.pairs())
-                    .map(|p| p as u64),
-            })
-            .collect(),
+/// The engine form of a request's jobs; an empty list is an error.
+#[allow(clippy::result_large_err)]
+fn engine_jobs(what: &str, jobs: &[JobSpec]) -> Result<Vec<Job>, Response> {
+    if jobs.is_empty() {
+        return Err(err(format!("{what}: empty job list")));
     }
+    Ok(jobs
+        .iter()
+        .map(|j| {
+            let mut job = Job::new(&j.name, &j.source);
+            job.input = j.input.clone();
+            job
+        })
+        .collect())
 }
 
-/// Like [`bench_fps`], but reuses the session's memoized solution
-/// fingerprints and pair counts when (source_fp, graph_fp) match — a
-/// replayed solution is byte-identical to the one fingerprinted before,
-/// so re-walking it per request would only re-derive the same numbers.
-/// Solver modes are always taken fresh from this run (they describe how
-/// this particular request was satisfied).
-fn bench_fps_memo(
+fn not_analyzed(project: &str, bench: &str, hint: &str) -> Response {
+    err(format!(
+        "query: benchmark {bench:?} has not been analyzed in project {project:?} \
+         (send an analyze request first{hint})"
+    ))
+}
+
+/// Per-benchmark fingerprints for an analyze response. A replayed
+/// solution is the very object an earlier run of this session
+/// fingerprinted, and that run recorded the fingerprint in the stored
+/// view; so when `stored` was recorded under the same
+/// (source_fp, graph_fp), a replayed solution reuses its fingerprint
+/// instead of walking the solution again. Every other solution is
+/// fingerprinted afresh. Pair counts are cheap and always recounted.
+fn bench_fps(
     b: &BenchOutput,
     source_fp: u64,
     graph_fp: u64,
-    memo: &mut HashMap<String, FpsMemo>,
+    stored: Option<&StoredBench>,
 ) -> BenchFps {
-    let hit = memo
-        .get(&b.name)
-        .is_some_and(|m| m.source_fp == source_fp && m.graph_fp == graph_fp);
-    if !hit {
-        memo.insert(
-            b.name.clone(),
-            FpsMemo {
-                source_fp,
-                graph_fp,
-                solvers: b
-                    .solutions
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.analysis.clone(),
-                            s.solution
-                                .as_deref()
-                                .map(|sol| solution_fingerprint(sol, &b.graph)),
-                            s.solution
-                                .as_deref()
-                                .and_then(|sol| sol.pairs())
-                                .map(|p| p as u64),
-                        )
-                    })
-                    .collect(),
-            },
-        );
-    }
-    let m = &memo[&b.name];
+    let stored = stored.filter(|s| s.source_fp == source_fp && s.graph_fp == graph_fp);
     BenchFps {
         name: b.name.clone(),
         source_fp: fp_hex(source_fp),
@@ -979,32 +766,180 @@ fn bench_fps_memo(
             .solutions
             .iter()
             .map(|s| {
-                let cached = m.solvers.iter().find(|(a, _, _)| *a == s.analysis);
+                let sol = s.solution.as_deref();
+                let reused = stored
+                    .filter(|_| matches!(s.mode, Some(SolveMode::Replay)))
+                    .and_then(|st| st.solution_fps.iter().find(|(a, _)| *a == s.analysis))
+                    .and_then(|&(_, fp)| fp);
                 SolverFp {
                     analysis: s.analysis.clone(),
-                    fp: cached.and_then(|(_, fp, _)| *fp).map(fp_hex),
-                    mode: s.mode.as_ref().map(|m| m.render()),
-                    pairs: cached.and_then(|(_, _, p)| *p),
+                    fp: sol.map(|sol| {
+                        fp_hex(reused.unwrap_or_else(|| solution_fingerprint(sol, &b.graph)))
+                    }),
+                    mode: s.mode.as_ref().map(SolveMode::render),
+                    pairs: sol.and_then(|sol| sol.pairs()).map(|p| p as u64),
                 }
             })
             .collect(),
     }
 }
 
-fn serve_info(run: &EngineRun, restored: bool) -> ServeInfo {
-    let mut info = ServeInfo {
-        restored,
-        ..ServeInfo::default()
-    };
-    if let Some(st) = &run.report.incremental {
-        info.benches_replayed = st.benches_replayed as u64;
-        info.benches_seeded = st.benches_seeded as u64;
-        info.benches_fresh = st.benches_fresh as u64;
-        info.solutions_replayed = st.solutions_replayed as u64;
-        info.funcs_reused = st.funcs_reused as u64;
-        info.funcs_dirty = st.funcs_dirty as u64;
+/// Brings the stored entry of `b` up to date with the run that produced
+/// it; returns whether the entry changed. An entry that agrees on every
+/// cheap field is kept as it is, with its memoized rendering: summaries
+/// are content-addressed by per-function fingerprint, so matching
+/// source and graph fingerprints imply matching summaries.
+fn refresh_stored(
+    stored: &mut StoredProject,
+    b: &BenchOutput,
+    fps: &BenchFps,
+    cached: CachedSummaries<'_>,
+) -> bool {
+    let solution_fps: Vec<(String, Option<u64>)> = fps
+        .solvers
+        .iter()
+        .map(|s| {
+            (
+                s.analysis.clone(),
+                s.fp.as_deref().and_then(proto::parse_fp_hex),
+            )
+        })
+        .collect();
+    let prev = stored.bench(&b.name);
+    // Checks are keyed by source and input; an edit invalidates the
+    // stored check fingerprint.
+    let check_fp = prev.and_then(|old| {
+        old.check_fp
+            .filter(|_| old.source == b.source && old.input == b.input)
+    });
+    let unchanged = prev.is_some_and(|old| {
+        old.source_fp == cached.source_hash
+            && old.graph_fp == cached.graph_fp
+            && old.source == b.source
+            && old.input == b.input
+            && old.solution_fps == solution_fps
+            && old.check_fp == check_fp
+    });
+    if unchanged {
+        return false;
     }
-    info
+    stored.upsert(StoredBench {
+        name: b.name.clone(),
+        source: b.source.clone(),
+        input: b.input.clone(),
+        source_fp: cached.source_hash,
+        graph_fp: cached.graph_fp,
+        solution_fps,
+        summaries: StoredSummaries::ready(cached.summaries.clone()),
+        check_fp,
+    });
+    true
+}
+
+/// The two point queries, as the solution answering them sees them:
+/// an exhaustive solver's [`Solution`] or a [`DemandState`].
+trait PointQueries {
+    /// The base locations the location inputs of memory ops `a` and
+    /// `b` may both reference, sorted.
+    fn common_bases(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> Vec<BaseId>;
+
+    /// The rendered referents of memory op `node`'s location input,
+    /// sorted.
+    fn referents(&mut self, graph: &Graph, node: NodeId) -> Vec<String>;
+}
+
+impl PointQueries for &dyn Solution {
+    fn common_bases(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> Vec<BaseId> {
+        // Both sides sorted+deduped by the Solution contract.
+        let bases_b = self.loc_referent_bases(graph, b);
+        self.loc_referent_bases(graph, a)
+            .into_iter()
+            .filter(|x| bases_b.binary_search(x).is_ok())
+            .collect()
+    }
+
+    fn referents(&mut self, graph: &Graph, node: NodeId) -> Vec<String> {
+        // Path-granular when the solver has per-point sets, stable base
+        // keys for the unification baseline.
+        let mut referents: Vec<String> =
+            match (self.referents_at(graph, node), self.path_universe()) {
+                (Some(paths), Some(table)) => {
+                    paths.iter().map(|&p| table.display(p, graph)).collect()
+                }
+                _ => self
+                    .loc_referent_bases(graph, node)
+                    .iter()
+                    .map(|&x| stable_base_key(graph, x))
+                    .collect(),
+            };
+        referents.sort();
+        referents
+    }
+}
+
+impl PointQueries for DemandState {
+    fn common_bases(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> Vec<BaseId> {
+        self.may_alias(graph, a, b).1
+    }
+
+    fn referents(&mut self, graph: &Graph, node: NodeId) -> Vec<String> {
+        // Already path-granular, display-rendered, and sorted —
+        // byte-identical to the exhaustive CI rendering.
+        self.loc_referents_rendered(graph, node)
+    }
+}
+
+/// Resolves `query`'s sites among `graph`'s indirect memory ops (line
+/// and column from `source`) and asks `solver` the query.
+#[allow(clippy::result_large_err)]
+fn answer_query(
+    bench: &str,
+    graph: &Graph,
+    source: &str,
+    query: &QueryKind,
+    solver: &mut impl PointQueries,
+) -> Result<QueryAnswer, Response> {
+    let sites = graph.indirect_mem_ops();
+    let file = cfront::SourceFile::new(bench, source);
+    let site = |i: usize| -> Result<(NodeId, SiteInfo), Response> {
+        let &(node, is_write) = sites.get(i).ok_or_else(|| {
+            err(format!(
+                "query: site index {i} out of range ({} indirect refs in {bench:?})",
+                sites.len()
+            ))
+        })?;
+        let lc = file.line_col(graph.node(node).span.start);
+        let info = SiteInfo {
+            index: i,
+            line: lc.line,
+            col: lc.col,
+            kind: if is_write { "write" } else { "read" }.to_string(),
+        };
+        Ok((node, info))
+    };
+    Ok(match *query {
+        QueryKind::MayAlias { a, b } => {
+            let ((na, sa), (nb, sb)) = (site(a)?, site(b)?);
+            let witnesses: Vec<String> = solver
+                .common_bases(graph, na, nb)
+                .iter()
+                .map(|&x| stable_base_key(graph, x))
+                .collect();
+            QueryAnswer::MayAlias {
+                may_alias: !witnesses.is_empty(),
+                witnesses,
+                a: sa,
+                b: sb,
+            }
+        }
+        QueryKind::ReferentsAt { site: i } => {
+            let (node, info) = site(i)?;
+            QueryAnswer::Referents {
+                site: info,
+                referents: solver.referents(graph, node),
+            }
+        }
+    })
 }
 
 /// FNV-64 over one benchmark's diagnostics under every solver — the

@@ -49,7 +49,7 @@ use engine::persist;
 use proto::json::Value;
 use proto::{bytes_hex, fp_hex, parse_bytes_hex, parse_fp_hex};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 /// Header magic, first field of a project file's first line.
@@ -334,11 +334,6 @@ impl Store {
         }
         out.sort();
         out
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 

@@ -140,26 +140,27 @@ fn parallel_and_serial_summary_composition_agree() {
         .expect("parallel run");
     assert_eq!(serial_cache.spec_key(), parallel_cache.spec_key());
     for j in &jobs {
-        let (s_src, s_graph, s_sums) = serial_cache
+        let serial = serial_cache
             .summaries_of(&j.name)
             .unwrap_or_else(|| panic!("{}: missing from serial cache", j.name));
-        let (p_src, p_graph, p_sums) = parallel_cache
+        let parallel = parallel_cache
             .summaries_of(&j.name)
             .unwrap_or_else(|| panic!("{}: missing from parallel cache", j.name));
         assert_eq!(
-            (s_src, s_graph),
-            (p_src, p_graph),
+            (serial.source_hash, serial.graph_fp),
+            (parallel.source_hash, parallel.graph_fp),
             "{}: keys differ",
             j.name
         );
         assert_eq!(
-            s_sums.len(),
+            serial.summaries.len(),
             alias::SolverSpec::all().len(),
             "{}: one summary payload per solver",
             j.name
         );
-        for (solver, s) in &s_sums {
-            let p = p_sums
+        for (solver, s) in serial.summaries {
+            let p = parallel
+                .summaries
                 .get(solver)
                 .unwrap_or_else(|| panic!("{}: {solver} missing from parallel cache", j.name));
             assert_eq!(

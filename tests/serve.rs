@@ -194,6 +194,129 @@ fn check_fingerprint_survives_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One `check` request's response for `project`.
+fn check(svc: &mut Service, project: &str, jobs: &[JobSpec]) -> Response {
+    svc.handle(&Request::Check {
+        project: project.to_string(),
+        jobs: jobs.to_vec(),
+        analysis: "ci".into(),
+        want_report: false,
+    })
+}
+
+/// The stored entry of `bench` in `project`, as a restarted service
+/// would load it.
+fn stored_bench(dir: &Path, project: &str, bench: &str) -> serve::StoredBench {
+    let LoadOutcome::Loaded(p) = Store::open(dir).unwrap().load(project) else {
+        panic!("{project}: no loadable store file");
+    };
+    p.bench(bench)
+        .unwrap_or_else(|| panic!("{project}: no stored {bench:?}"))
+        .clone()
+}
+
+/// A check persists the source it checked. After analyzing v1 and then
+/// checking v2, the stored entry must describe v2 (source, source_fp,
+/// and v2's per-bench check fingerprint), so a restarted service
+/// answers for v2. A project that is only ever checked must reach the
+/// store too, and keep its check fingerprint across a restart.
+#[test]
+fn check_persists_the_checked_source() {
+    let dir = temp_dir("check-persists");
+    let v1 = vec![JobSpec {
+        name: "prog".into(),
+        source: "int main() { int x; int *p; p = &x; *p = 1; return *p; }".into(),
+        input: Vec::new(),
+    }];
+    let mut v2 = v1.clone();
+    v2[0].source = "int main() { int x; int y; int *p; p = &y; *p = 2; return *p; }".into();
+    // v2's per-bench check fingerprint, from a plain in-process run.
+    let mut run = engine::Engine::new()
+        .run(&[engine::Job::new(&v2[0].name, &v2[0].source)])
+        .expect("v2 analyzes");
+    let checks = run.run_checks();
+    let v2_check_fp = serve::service::check_fingerprint(&run.benches[0], &checks[0]);
+
+    let mut svc = service(&dir);
+    analyze(&mut svc, "edited", &v1);
+    let checked = check_fp_of(&check(&mut svc, "edited", &v2));
+    let checked_only = check_fp_of(&check(&mut svc, "checked", &v2));
+    assert_eq!(checked, checked_only, "same source, same diagnostics");
+    drop(svc);
+
+    for project in ["edited", "checked"] {
+        let b = stored_bench(&dir, project, "prog");
+        assert_eq!(b.source, v2[0].source, "{project}: stale stored source");
+        assert_eq!(
+            b.source_fp,
+            alias::fingerprint::fnv64(v2[0].source.as_bytes()),
+            "{project}"
+        );
+        assert_eq!(b.check_fp, Some(v2_check_fp), "{project}: check_fp");
+    }
+
+    // The restarted service answers from the stored v2 source, and
+    // re-checking v2 leaves the stored check fingerprint in place.
+    let mut svc = service(&dir);
+    let live = memory_service().handle(&Request::Query {
+        project: "p".into(),
+        bench: "prog".into(),
+        analysis: "ci".into(),
+        query: QueryKind::ReferentsAt { site: 0 },
+        job: Some(v2[0].clone()),
+    });
+    let restored = svc.handle(&Request::Query {
+        project: "edited".into(),
+        bench: "prog".into(),
+        analysis: "ci".into(),
+        query: QueryKind::ReferentsAt { site: 0 },
+        job: None,
+    });
+    assert_eq!(comparable(&restored), comparable(&live));
+    assert_eq!(check_fp_of(&check(&mut svc, "checked", &v2)), checked);
+    drop(svc);
+    assert_eq!(
+        stored_bench(&dir, "checked", "prog").check_fp,
+        Some(v2_check_fp)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The stored solution fingerprints are never trusted across a
+/// restart. Reusing a stored fingerprint is sound only for a solution
+/// replayed from this session's own artifacts, which a restored
+/// session does not have; so a tampered (but validly checksummed)
+/// fingerprint must be recomputed, not echoed.
+#[test]
+fn restored_solution_fingerprints_are_recomputed() {
+    let dir = temp_dir("fp-trust");
+    let jobs = suite_jobs(1);
+    let first = analyze(&mut service(&dir), "proj", &jobs);
+
+    let store = Store::open(&dir).unwrap();
+    let LoadOutcome::Loaded(mut project) = store.load("proj") else {
+        panic!("the written store must load");
+    };
+    let (analysis, fp) = &mut project.benches[0].solution_fps[0];
+    let analysis = analysis.clone();
+    let genuine = fp.expect("solved");
+    *fp = Some(genuine ^ 1);
+    store.save("proj", &project).unwrap();
+    assert!(
+        matches!(store.load("proj"), LoadOutcome::Loaded(_)),
+        "checksum must stay valid"
+    );
+
+    let second = analyze(&mut service(&dir), "proj", &jobs);
+    assert_eq!(fingerprints_of(&first), fingerprints_of(&second));
+    let reported = fingerprints_of(&second)
+        .into_iter()
+        .find(|(_, a, _)| *a == analysis)
+        .and_then(|(_, _, fp)| fp);
+    assert_eq!(reported, Some(proto::fp_hex(genuine)), "{analysis}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Queries answered from a restored session (no analyze request in
 /// this process lifetime) match queries against a live session.
 #[test]
